@@ -74,6 +74,11 @@ PYTHONPATH=src python -m repro quality compare QUALITY_BASELINE.json >/dev/null 
 if [[ $fast -eq 0 ]]; then
     echo "== pytest (tier 1)"
     PYTHONPATH=src python -m pytest -x -q || status=1
+    # bench/tests sits outside the tier-1 testpaths; it pins the benchmark's
+    # entry points and layer table (~55 s), so renaming a traced function
+    # such as cell_histograms_from_field fails here.
+    echo "== pytest bench/tests (benchmark harness and layer table)"
+    PYTHONPATH=src python -m pytest -q bench/tests || status=1
 else
     echo "== pytest: skipped (--fast); run the analysis tier at least:"
     PYTHONPATH=src python -m pytest -x -q -m analysis || status=1

@@ -14,7 +14,6 @@ import numpy as np
 
 from repro.errors import FeatureError
 from repro.imaging.filters import central_gradient
-from repro.imaging.image import ensure_gray
 
 
 @dataclass(frozen=True)
@@ -22,47 +21,42 @@ class GradientField:
     """Per-pixel gradient magnitude and orientation.
 
     Attributes:
-        magnitude: (H, W) non-negative gradient magnitudes.
-        orientation: (H, W) angles in radians, folded into [0, pi) for the
-            unsigned-gradient convention HOG uses.
+        magnitude: (..., H, W) non-negative gradient magnitudes.
+        orientation: (..., H, W) angles in radians, folded into [0, pi) for
+            the unsigned-gradient convention HOG uses.
     """
 
     magnitude: np.ndarray
     orientation: np.ndarray
 
     @property
-    def shape(self) -> tuple[int, int]:
+    def shape(self) -> tuple[int, ...]:
         return self.magnitude.shape
 
 
 def gradient_field(image: np.ndarray) -> GradientField:
-    """Compute the unsigned gradient field of a gray image."""
-    arr = ensure_gray(image)
-    gx, gy = central_gradient(arr)
-    magnitude = np.hypot(gx, gy)
-    orientation = np.arctan2(gy, gx)  # [-pi, pi]
-    orientation = np.mod(orientation, np.pi)  # unsigned: [0, pi)
-    return GradientField(magnitude=magnitude, orientation=orientation)
+    """Compute the unsigned gradient field of a gray image.
 
+    Also takes an (..., H, W) stack of planes; every step is elementwise or
+    a slice along the last two axes, so plane ``i`` of a stack's field is
+    bitwise equal to the field of plane ``i`` alone.
 
-def gradient_field_batch(windows: np.ndarray) -> GradientField:
-    """Unsigned gradient fields of an (N, H, W) window stack at once.
-
-    Every operation is elementwise or a fixed slice, so plane ``i`` of the
-    result is bitwise equal to ``gradient_field(windows[i])`` — the batched
-    HOG descriptor leans on that to stay byte-identical to the per-window
-    reference.  The returned :class:`GradientField` carries 3-D arrays.
+    The magnitude is ``sqrt(gx*gx + gy*gy)``, the squaring adder and square
+    root of the paper's gradient unit; it stays within one ulp of
+    ``np.hypot(gx, gy)`` while the squares neither overflow nor underflow.
+    The orientation is bitwise equal to ``np.mod(np.arctan2(gy, gx), pi)``.
     """
-    stack = np.asarray(windows, dtype=np.float64)
-    if stack.ndim != 3:
-        raise FeatureError(f"windows must be (N, H, W), got shape {stack.shape}")
-    if stack.shape[1] < 1 or stack.shape[2] < 1:
-        raise FeatureError(f"windows must be non-empty, got shape {stack.shape}")
-    padded = np.pad(stack, ((0, 0), (1, 1), (1, 1)), mode="edge")
-    gx = 0.5 * (padded[:, 1:-1, 2:] - padded[:, 1:-1, :-2])
-    gy = 0.5 * (padded[:, 2:, 1:-1] - padded[:, :-2, 1:-1])
-    magnitude = np.hypot(gx, gy)
-    orientation = np.mod(np.arctan2(gy, gx), np.pi)
+    gx, gy = central_gradient(image)
+    orientation = np.arctan2(gy, gx)  # [-pi, pi]
+    # The fold np.mod(orientation, pi) does, without its per-element fmod:
+    # pi maps to +0, negatives gain pi (tiny ones round up to pi, as under
+    # np.mod), and adding +0.0 elsewhere turns atan2's -0.0 into +0.0.
+    orientation[orientation == np.pi] = 0.0
+    orientation += (orientation < 0.0) * np.pi
+    gx *= gx
+    gy *= gy
+    gx += gy
+    magnitude = np.sqrt(gx, out=gx)
     return GradientField(magnitude=magnitude, orientation=orientation)
 
 
@@ -72,15 +66,18 @@ def orientation_bins(field: GradientField, n_bins: int) -> tuple[np.ndarray, np.
     Linear interpolation between neighbouring orientation bins, exactly as in
     Dalal-Triggs.  Returns (bin_lo, weight_lo, weight_hi) where ``bin_lo`` is
     the lower bin index per pixel and the upper bin is ``(bin_lo+1) % n_bins``.
+    Orientations are expected in [0, pi], as :func:`gradient_field` folds
+    them.
     """
     if n_bins < 2:
         raise FeatureError(f"need at least 2 orientation bins, got {n_bins}")
     bin_width = np.pi / n_bins
     # Center of bin b is (b + 0.5) * bin_width.
-    position = field.orientation / bin_width - 0.5
-    bin_lo = np.floor(position).astype(int)
-    frac = position - bin_lo
-    bin_lo = np.mod(bin_lo, n_bins)
-    weight_hi = frac
-    weight_lo = 1.0 - frac
-    return bin_lo, weight_lo, weight_hi
+    position = field.orientation / bin_width
+    position -= 0.5
+    floor = np.floor(position)
+    position -= floor  # the fraction past the lower bin's centre
+    bin_lo = floor.astype(np.intp)
+    # Orientations below the first bin's centre fall to -1: wrap to the last bin.
+    bin_lo += (bin_lo < 0) * n_bins
+    return bin_lo, 1.0 - position, position

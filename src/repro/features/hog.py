@@ -13,6 +13,8 @@ model in ``repro.hw`` can be attached to the same structure:
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,12 +22,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.errors import FeatureError
-from repro.features.gradients import (
-    GradientField,
-    gradient_field,
-    gradient_field_batch,
-    orientation_bins,
-)
+from repro.features.gradients import GradientField, gradient_field, orientation_bins
 from repro.imaging.image import ensure_gray
 from repro.ml.kernels import square_norm_rows
 
@@ -112,70 +109,55 @@ def cell_histograms(image: np.ndarray, config: HogConfig) -> np.ndarray:
     return cell_histograms_from_field(field, config.cell_size, config.n_bins)
 
 
+@functools.lru_cache(maxsize=32)
+def _cell_slots(height: int, width: int, cell_size: int, n_bins: int) -> np.ndarray:
+    """(H, W) index of each pixel's cell's first slot in a flat histogram.
+
+    Read-only and shared between calls: pyramid levels repeat frame after
+    frame, so each plane shape builds its index grid once.  int32 keeps the
+    cached grids small; the scatter indices themselves stay intp.
+    """
+    rows, cols = height // cell_size, width // cell_size
+    cell_row = np.repeat(np.arange(rows, dtype=np.int32), cell_size)
+    cell_col = np.repeat(np.arange(cols, dtype=np.int32), cell_size)
+    slots = (cell_row[:, None] * cols + cell_col[None, :]) * n_bins
+    slots.flags.writeable = False
+    return slots
+
+
 def cell_histograms_from_field(field: GradientField, cell_size: int, n_bins: int) -> np.ndarray:
     """Cell histograms for an arbitrary-size gradient field.
 
     The field's shape must be divisible by ``cell_size``.  Dense detection
     reuses this over a whole frame, then slides windows over the cell grid.
+    A field of an (..., H, W) stack yields (..., rows, cols, n_bins); plane
+    ``i`` is bitwise equal to the histograms of plane ``i``'s field alone,
+    since planes never share a slot and each slot sums its pixels in the
+    same order.
     """
-    height, width = field.shape
+    *lead, height, width = field.shape
     if height % cell_size or width % cell_size:
         raise FeatureError(
             f"field shape {field.shape} not divisible by cell_size {cell_size}"
         )
-    bin_lo, w_lo, w_hi = orientation_bins(field, n_bins)
-    bin_hi = (bin_lo + 1) % n_bins
     rows, cols = height // cell_size, width // cell_size
-    hist = np.zeros((rows, cols, n_bins), dtype=np.float64)
-    mag = field.magnitude
-    cell_row = np.repeat(np.arange(rows), cell_size)
-    cell_col = np.repeat(np.arange(cols), cell_size)
-    flat_cell = (cell_row[:, None] * cols + cell_col[None, :]).ravel()
+    planes = math.prod(lead)
+    plane_slots = rows * cols * n_bins
+    bin_lo, w_lo, w_hi = orientation_bins(field, n_bins)
+    bin_hi = bin_lo + 1
+    bin_hi -= (bin_hi == n_bins) * n_bins
+    slots = _cell_slots(height, width, cell_size, n_bins)
+    if lead:
+        slots = slots + np.arange(0, planes * plane_slots, plane_slots).reshape(*lead, 1, 1)
+    bin_lo += slots
+    bin_hi += slots
+    w_lo *= field.magnitude
+    w_hi *= field.magnitude
     # Scatter-add magnitude into (cell, bin) pairs for both soft-assigned bins.
-    flat_hist = np.zeros(rows * cols * n_bins, dtype=np.float64)
-    np.add.at(flat_hist, flat_cell * n_bins + bin_lo.ravel(), (mag * w_lo).ravel())
-    np.add.at(flat_hist, flat_cell * n_bins + bin_hi.ravel(), (mag * w_hi).ravel())
-    hist[...] = flat_hist.reshape(rows, cols, n_bins)
-    return hist
-
-
-def cell_histograms_batch(windows: np.ndarray, cell_size: int, n_bins: int) -> np.ndarray:
-    """Cell histograms for an (N, H, W) stack of independent windows.
-
-    One vectorised gradient pass plus one scatter-add covers the whole
-    stack.  Window ``i`` of the result is bitwise equal to
-    ``cell_histograms_from_field(gradient_field(windows[i]), ...)``: the
-    gradient/binning math is elementwise, and the scatter visits each
-    window's pixels in the same order as the single-window path (windows
-    never share a histogram slot, so per-slot accumulation order — and
-    therefore float rounding — is unchanged).
-
-    Returns:
-        (N, cell_rows, cell_cols, n_bins) histogram tensor.
-    """
-    stack = np.asarray(windows, dtype=np.float64)
-    if stack.ndim != 3:
-        raise FeatureError(f"windows must be (N, H, W), got shape {stack.shape}")
-    n, height, width = stack.shape
-    if height % cell_size or width % cell_size:
-        raise FeatureError(
-            f"window shape {(height, width)} not divisible by cell_size {cell_size}"
-        )
-    if n == 0:
-        return np.zeros((0, height // cell_size, width // cell_size, n_bins))
-    field = gradient_field_batch(stack)
-    bin_lo, w_lo, w_hi = orientation_bins(field, n_bins)
-    bin_hi = (bin_lo + 1) % n_bins
-    rows, cols = height // cell_size, width // cell_size
-    cell_row = np.repeat(np.arange(rows), cell_size)
-    cell_col = np.repeat(np.arange(cols), cell_size)
-    plane_cell = cell_row[:, None] * cols + cell_col[None, :]
-    flat_cell = (np.arange(n) * (rows * cols))[:, None, None] + plane_cell[None, :, :]
-    mag = field.magnitude
-    flat_hist = np.zeros(n * rows * cols * n_bins, dtype=np.float64)
-    np.add.at(flat_hist, (flat_cell * n_bins + bin_lo).ravel(), (mag * w_lo).ravel())
-    np.add.at(flat_hist, (flat_cell * n_bins + bin_hi).ravel(), (mag * w_hi).ravel())
-    return flat_hist.reshape(n, rows, cols, n_bins)
+    flat_hist = np.zeros(planes * plane_slots, dtype=np.float64)
+    np.add.at(flat_hist, bin_lo.ravel(), w_lo.ravel())
+    np.add.at(flat_hist, bin_hi.ravel(), w_hi.ravel())
+    return flat_hist.reshape(*lead, rows, cols, n_bins)
 
 
 def normalize_block(block: np.ndarray, clip: float = 0.2, eps: float = 1e-6) -> np.ndarray:
@@ -298,7 +280,7 @@ class HogDescriptor:
             raise FeatureError(
                 f"window stack shape {batch.shape[1:]} != window {cfg.window}"
             )
-        cells = cell_histograms_batch(batch, cfg.cell_size, cfg.n_bins)
+        cells = cell_histograms_from_field(gradient_field(batch), cfg.cell_size, cfg.n_bins)
         gathered = _block_rows(cells, cfg)
         n = batch.shape[0]
         flat = normalize_block_rows(

@@ -77,8 +77,11 @@ def resize_bilinear(image: np.ndarray, out_height: int, out_width: int) -> np.nd
     x1 = np.minimum(x0 + 1, in_w - 1)
     wy = (ys - y0)[:, np.newaxis]
     wx = (xs - x0)[np.newaxis, :]
-    top = arr[np.ix_(y0, x0)] * (1 - wx) + arr[np.ix_(y0, x1)] * wx
-    bottom = arr[np.ix_(y1, x0)] * (1 - wx) + arr[np.ix_(y1, x1)] * wx
+    # Gather the two source rows once, then the columns from each.
+    r0 = arr[y0]
+    r1 = arr[y1]
+    top = r0[:, x0] * (1 - wx) + r0[:, x1] * wx
+    bottom = r1[:, x0] * (1 - wx) + r1[:, x1] * wx
     return top * (1 - wy) + bottom * wy
 
 

@@ -82,6 +82,24 @@ class TestResize:
         with pytest.raises(ImageError):
             resize_bilinear(np.ones((4, 4)), 0, 4)
 
+    @pytest.mark.parametrize(
+        "src, dst",
+        [((6, 6), (13, 9)), ((360, 640), (300, 533)), ((45, 80), (64, 64)), ((1, 7), (3, 2)), ((5, 1), (2, 4))],
+    )
+    def test_bilinear_bitwise_equals_ix_gather(self, src, dst):
+        img = np.random.default_rng(4).random(src)
+        out_h, out_w = dst
+        in_h, in_w = src
+        ys = np.clip((np.arange(out_h) + 0.5) * in_h / out_h - 0.5, 0.0, in_h - 1.0)
+        xs = np.clip((np.arange(out_w) + 0.5) * in_w / out_w - 0.5, 0.0, in_w - 1.0)
+        y0, x0 = np.floor(ys).astype(int), np.floor(xs).astype(int)
+        y1, x1 = np.minimum(y0 + 1, in_h - 1), np.minimum(x0 + 1, in_w - 1)
+        wy, wx = (ys - y0)[:, None], (xs - x0)[None, :]
+        top = img[np.ix_(y0, x0)] * (1 - wx) + img[np.ix_(y0, x1)] * wx
+        bottom = img[np.ix_(y1, x0)] * (1 - wx) + img[np.ix_(y1, x1)] * wx
+        expected = top * (1 - wy) + bottom * wy
+        assert resize_bilinear(img, out_h, out_w).tobytes() == expected.tobytes()
+
     def test_rgb_resize_per_channel(self):
         rgb = np.zeros((4, 4, 3))
         rgb[..., 1] = 1.0
