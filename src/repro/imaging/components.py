@@ -51,8 +51,8 @@ def label_components(mask: np.ndarray, connectivity: int = 8) -> tuple[np.ndarra
 
     Returns:
         (labels, count): int array where background is 0 and regions are
-        numbered 1..count contiguously (raster order of first pixel when the
-        pure-python path is used; scipy's order on the fast path).
+        numbered 1..count contiguously, in raster order of each region's
+        first pixel on both the scipy and the pure-python path.
     """
     src = ensure_binary(mask)
     if connectivity not in (4, 8):

@@ -14,6 +14,18 @@ from repro.errors import ImageError
 from repro.imaging.image import ensure_binary, ensure_gray
 
 
+def _tile_grid(shape: tuple[int, ...], factor: int) -> tuple[int, int]:
+    """Output shape of an integer-factor decimation; rejects misalignment."""
+    if factor < 1:
+        raise ImageError(f"factor must be >= 1, got {factor}")
+    height, width = shape
+    if height % factor or width % factor:
+        raise ImageError(
+            f"image shape {shape} is not divisible by downsample factor {factor}"
+        )
+    return height // factor, width // factor
+
+
 def downsample_area(image: np.ndarray, factor: int) -> np.ndarray:
     """Integer-factor downsample by averaging ``factor`` x ``factor`` tiles.
 
@@ -21,15 +33,8 @@ def downsample_area(image: np.ndarray, factor: int) -> np.ndarray:
     asserts the same alignment (1920/3 = 640, 1080/3 = 360).
     """
     arr = ensure_gray(image)
-    if factor < 1:
-        raise ImageError(f"factor must be >= 1, got {factor}")
-    height, width = arr.shape
-    if height % factor or width % factor:
-        raise ImageError(
-            f"image shape {arr.shape} is not divisible by downsample factor {factor}"
-        )
-    reshaped = arr.reshape(height // factor, factor, width // factor, factor)
-    return reshaped.mean(axis=(1, 3))
+    out_h, out_w = _tile_grid(arr.shape, factor)
+    return arr.reshape(out_h, factor, out_w, factor).mean(axis=(1, 3))
 
 
 def downsample_binary(mask: np.ndarray, factor: int, vote: float = 0.25) -> np.ndarray:
@@ -38,12 +43,21 @@ def downsample_binary(mask: np.ndarray, factor: int, vote: float = 0.25) -> np.n
     A plain area-average-then-threshold decimator.  The default vote of 1/4
     keeps small taillight blobs alive through the 3x decimation while
     suppressing single noisy pixels.
+
+    Votes are counted in integers, one strided sub-grid of the tile at a
+    time; ``count / factor**2`` is exactly the float tile mean
+    :func:`downsample_area` would give, so the decision is the same.
     """
     src = ensure_binary(mask)
     if not 0.0 < vote <= 1.0:
         raise ImageError(f"vote must be in (0, 1], got {vote}")
-    averaged = downsample_area(src.astype(np.float64), factor)
-    return averaged >= vote
+    if src.size == 0:
+        raise ImageError("image must be non-empty")
+    counts = np.zeros(_tile_grid(src.shape, factor), dtype=np.intp)
+    for dy in range(factor):
+        for dx in range(factor):
+            counts += src[dy::factor, dx::factor]
+    return counts / (factor * factor) >= vote
 
 
 def resize_nearest(image: np.ndarray, out_height: int, out_width: int) -> np.ndarray:

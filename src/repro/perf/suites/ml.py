@@ -1,8 +1,8 @@
 """ML hot paths: the sliding-DBN grid scan and the linear-SVM batch.
 
 The DBN here is the paper's 81-20-8-4 taillight classifier, trained just
-enough to exercise the real prediction path; the workload replicates the
-dark pipeline's stride-2 9x9 grid scan (window view, occupancy filter,
+enough to exercise the real prediction path; the grid workload runs the
+dark pipeline's stride-2 9x9 grid scan (occupancy filter, window gather,
 batched forward passes) without dragging the full detector's training
 corpus into a benchmark setup.
 """
@@ -15,7 +15,7 @@ from repro.ml.dbn import DbnConfig, DeepBeliefNetwork
 from repro.ml.logistic import SoftmaxConfig
 from repro.ml.rbm import RbmConfig
 from repro.perf.registry import BenchContext, bench
-from repro.pipelines.dark import DBN_STRIDE, DBN_WINDOW
+from repro.pipelines.dark import DBN_WINDOW, DarkVehicleDetector
 
 
 def _tiny_dbn(ctx: BenchContext) -> DeepBeliefNetwork:
@@ -40,17 +40,10 @@ def dbn_grid_scan(ctx: BenchContext):
     height, width = (45, 80) if ctx.smoke else (60, 110)
     mask = (ctx.rng.random((height, width)) > 0.85).astype(np.float64)
     ctx.digest(mask)
+    detector = DarkVehicleDetector(dbn=dbn)
 
     def run():
-        view = np.lib.stride_tricks.sliding_window_view(mask, (DBN_WINDOW, DBN_WINDOW))
-        view = view[::DBN_STRIDE, ::DBN_STRIDE]
-        ny, nx = view.shape[:2]
-        flat = view.reshape(ny * nx, DBN_WINDOW * DBN_WINDOW)
-        grid = np.zeros(ny * nx, dtype=np.int64)
-        occupied = np.flatnonzero(flat.any(axis=1))
-        if occupied.size:
-            grid[occupied] = dbn.predict(flat[occupied])
-        return grid.reshape(ny, nx)
+        return detector.dbn_grid(mask)
 
     return run
 

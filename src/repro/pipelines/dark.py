@@ -31,7 +31,7 @@ from repro.imaging.color import split_channels
 from repro.imaging.components import blob_statistics, label_components
 from repro.imaging.geometry import Rect
 from repro.imaging.image import ensure_rgb
-from repro.imaging.morphology import closing, square_element
+from repro.imaging.morphology import closing, dilate, square_element
 from repro.imaging.resize import downsample_binary
 from repro.imaging.threshold import binary_threshold, otsu_threshold
 from repro.ml.dbn import DbnConfig, DeepBeliefNetwork
@@ -98,6 +98,23 @@ class DarkStageTrace:
     class_grid: np.ndarray | None = None
     candidates: list[TaillightCandidate] = field(default_factory=list)
     pairs: list[tuple[int, int, float]] = field(default_factory=list)
+
+
+def _window_any(lit: np.ndarray, axis: int) -> np.ndarray:
+    """Any-lit test of every ``DBN_WINDOW``-long run at ``DBN_STRIDE`` along ``axis``.
+
+    ORs shifted copies with doubling spans (1, 2, 4, 8 cells), then one
+    overlapping shift covers the ninth cell.
+    """
+    runs = np.moveaxis(lit, axis, 0)
+    span = 1
+    while 2 * span <= DBN_WINDOW:
+        runs = runs[:-span] | runs[span:]
+        span *= 2
+    rest = DBN_WINDOW - span
+    if rest:
+        runs = runs[:-rest] | runs[rest:]
+    return np.moveaxis(runs[::DBN_STRIDE], 0, axis)
 
 
 class DarkVehicleDetector:
@@ -204,23 +221,28 @@ class DarkVehicleDetector:
             raise PipelineError(f"mask must be 2-D, got shape {src.shape}")
         if src.shape[0] < DBN_WINDOW or src.shape[1] < DBN_WINDOW:
             return np.zeros((0, 0), dtype=np.int64)
-        view = np.lib.stride_tricks.sliding_window_view(src, (DBN_WINDOW, DBN_WINDOW))
-        view = view[::DBN_STRIDE, ::DBN_STRIDE]
-        ny, nx = view.shape[:2]
-        flat = view.reshape(ny * nx, DBN_WINDOW * DBN_WINDOW)
-        grid = np.zeros(ny * nx, dtype=np.int64)
         # Only windows with any lit pixel can be taillights; the rest stay 0.
-        occupied = np.flatnonzero(flat.any(axis=1))
+        # A frame lights a few hundred of its ~13k windows, so find them
+        # separably and copy out just their 81 values, in row-major order.
+        lit = _window_any(_window_any(src != 0, axis=0), axis=1)
+        ny, nx = lit.shape
+        occupied = np.flatnonzero(lit)
+        view = np.lib.stride_tricks.sliding_window_view(src, (DBN_WINDOW, DBN_WINDOW))
+        rows, cols = np.divmod(occupied, nx)
+        windows = view[rows * DBN_STRIDE, cols * DBN_STRIDE].reshape(
+            occupied.size, DBN_WINDOW * DBN_WINDOW
+        )
+        grid = np.zeros(ny * nx, dtype=np.int64)
         if not self.config.batched:
-            self._dbn_grid_reference(flat, occupied, grid)
+            self._dbn_grid_reference(windows, occupied, grid)
             return grid.reshape(ny, nx)
         for start in range(0, occupied.size, self.config.dbn_batch):
-            idx = occupied[start : start + self.config.dbn_batch]
-            grid[idx] = self.dbn.predict_batch(flat[idx])
+            stop = start + self.config.dbn_batch
+            grid[occupied[start:stop]] = self.dbn.predict_batch(windows[start:stop])
         return grid.reshape(ny, nx)
 
     def _dbn_grid_reference(
-        self, flat: np.ndarray, occupied: np.ndarray, grid: np.ndarray
+        self, windows: np.ndarray, occupied: np.ndarray, grid: np.ndarray
     ) -> None:
         """One-window-at-a-time DBN scan, filled into ``grid`` in place.
 
@@ -229,8 +251,8 @@ class DarkVehicleDetector:
         window classified alone equals the same window classified inside
         any chunk, bit for bit.
         """
-        for i in occupied:
-            grid[i] = int(self.dbn.predict(flat[i])[0])
+        for window, i in zip(windows, occupied):
+            grid[i] = int(self.dbn.predict(window)[0])
 
     def extract_candidates(self, class_grid: np.ndarray) -> list[TaillightCandidate]:
         """Cluster DBN hits into taillight candidates.
@@ -242,8 +264,6 @@ class DarkVehicleDetector:
         """
         if class_grid.size == 0:
             return []
-        from repro.imaging.morphology import dilate, square_element
-
         hits = class_grid > 0
         bridged = dilate(hits, square_element(3))
         labels, count = label_components(bridged)

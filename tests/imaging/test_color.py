@@ -72,6 +72,26 @@ class TestConversion:
         back = ycbcr_to_rgb(rgb_to_ycbcr(rgb))
         assert np.allclose(back, rgb, atol=1e-9)
 
+    @settings(max_examples=50)
+    @given(rgb_images())
+    def test_roundtrip_bitwise_unchanged(self, rgb):
+        # The interleaved image the planes used to be sliced from.
+        r, g, b = rgb[..., 0], rgb[..., 1], rgb[..., 2]
+        y = 0.299 * r + 0.587 * g + 0.114 * b
+        interleaved = np.stack(
+            [y, (b - y) / (2.0 * (1.0 - 0.114)), (r - y) / (2.0 * (1.0 - 0.299))], axis=-1
+        )
+        assert ycbcr_to_rgb(rgb_to_ycbcr(rgb)).tobytes() == ycbcr_to_rgb(interleaved).tobytes()
+
+    @settings(max_examples=30)
+    @given(rgb_images())
+    def test_split_planes_are_c_contiguous(self, rgb):
+        # Otsu's histogram and the thresholds read these planes; a strided
+        # view of an interleaved image costs them a copy each.
+        for plane in split_channels(rgb):
+            assert plane.flags.c_contiguous
+            assert plane.shape == rgb.shape[:2]
+
     @settings(max_examples=30)
     @given(rgb_images())
     def test_chroma_ranges(self, rgb):

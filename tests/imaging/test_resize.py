@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.errors import ImageError
 from repro.imaging.resize import (
@@ -51,6 +53,39 @@ class TestDownsample:
     def test_binary_rejects_bad_vote(self):
         with pytest.raises(ImageError):
             downsample_binary(np.zeros((2, 2), dtype=bool), 2, vote=0.0)
+
+    @pytest.mark.parametrize(
+        "mask,factor,match",
+        [
+            (np.zeros((5, 6), dtype=bool), 2, "not divisible"),
+            (np.zeros((4, 4), dtype=bool), 0, "factor must be >= 1"),
+            (np.zeros((0, 4), dtype=bool), 2, "non-empty"),
+            (np.full((4, 4), 2.0), 2, "only 0/1"),
+            (np.zeros((2, 2, 2), dtype=bool), 2, "must be 2-D"),
+        ],
+    )
+    def test_binary_rejects_bad_input(self, mask, factor, match):
+        with pytest.raises(ImageError, match=match):
+            downsample_binary(mask, factor)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), factor=st.integers(min_value=1, max_value=4))
+    def test_binary_matches_float_mean(self, data, factor):
+        tiles = data.draw(st.tuples(st.integers(1, 6), st.integers(1, 6)))
+        mask = data.draw(hnp.arrays(bool, (tiles[0] * factor, tiles[1] * factor)))
+        # Votes landing exactly on k / factor**2 are where a count and a
+        # float mean could disagree.
+        k = data.draw(st.integers(1, factor * factor))
+        vote = data.draw(
+            st.one_of(
+                st.just(k / (factor * factor)),
+                st.floats(min_value=1e-6, max_value=1.0, allow_nan=False),
+            )
+        )
+        expected = downsample_area(mask.astype(np.float64), factor) >= vote
+        got = downsample_binary(mask, factor, vote=vote)
+        assert got.dtype == bool
+        assert np.array_equal(got, expected)
 
 
 class TestResize:
