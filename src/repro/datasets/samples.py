@@ -80,20 +80,6 @@ class ClassificationDataset:
         """The paper's "subset of SYSU" — very dark samples excluded."""
         return self.subset(~self.very_dark, name=f"{self.name}-no-dark")
 
-    def merged_with(self, other: "ClassificationDataset", name: str) -> "ClassificationDataset":
-        """Concatenate two corpora (builds the paper's *combined* train set)."""
-        if self.images.shape[1:] != other.images.shape[1:]:
-            raise DatasetError(
-                f"crop shapes differ: {self.images.shape[1:]} vs {other.images.shape[1:]}"
-            )
-        return ClassificationDataset(
-            name=name,
-            condition=self.condition,
-            images=np.concatenate([self.images, other.images]),
-            labels=np.concatenate([self.labels, other.labels]),
-            very_dark=np.concatenate([self.very_dark, other.very_dark]),
-        )
-
 
 @dataclass
 class DetectionDataset:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 from repro.datasets.samples import ClassificationDataset
@@ -47,16 +48,37 @@ def check_scale(scale: float) -> float:
 
 @dataclass
 class ConditionCorpora:
-    """Train and test corpora for the day/dusk experiments."""
+    """Train and test corpora for the day/dusk experiments.
+
+    Detector set-up reads only the training corpora, so each test corpus
+    renders on first access and is cached on the instance.
+    """
 
     day_train: ClassificationDataset
     dusk_train: ClassificationDataset
-    day_test: ClassificationDataset
-    dusk_test: ClassificationDataset
+    scale: float
+    seed: int
+
+    @cached_property
+    def day_test(self) -> ClassificationDataset:
+        return make_upm_like(
+            n_positive=_scaled(UPM_TEST_POS, self.scale),
+            n_negative=_scaled(UPM_TEST_NEG, self.scale, minimum=2),
+            seed=self.seed + 3,
+        )
+
+    @cached_property
+    def dusk_test(self) -> ClassificationDataset:
+        return make_sysu_like(
+            n_positive=_scaled(SYSU_TEST_POS, self.scale),
+            n_negative=_scaled(SYSU_TEST_NEG, self.scale),
+            n_very_dark_positive=_scaled(SYSU_TEST_VERY_DARK_POS, self.scale, minimum=2),
+            seed=self.seed + 4,
+        )
 
 
 def build_corpora(scale: float = 1.0, seed: int = 0) -> ConditionCorpora:
-    """Render the four corpora at the requested scale."""
+    """Render the two training corpora at the requested scale."""
     check_scale(scale)
     return ConditionCorpora(
         day_train=make_upm_like(
@@ -75,17 +97,8 @@ def build_corpora(scale: float = 1.0, seed: int = 0) -> ConditionCorpora:
             seed=seed + 2,
             lighting_t_range=(0.1, 0.8),
         ),
-        day_test=make_upm_like(
-            n_positive=_scaled(UPM_TEST_POS, scale),
-            n_negative=_scaled(UPM_TEST_NEG, scale, minimum=2),
-            seed=seed + 3,
-        ),
-        dusk_test=make_sysu_like(
-            n_positive=_scaled(SYSU_TEST_POS, scale),
-            n_negative=_scaled(SYSU_TEST_NEG, scale),
-            n_very_dark_positive=_scaled(SYSU_TEST_VERY_DARK_POS, scale, minimum=2),
-            seed=seed + 4,
-        ),
+        scale=scale,
+        seed=seed,
     )
 
 

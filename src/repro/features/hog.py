@@ -23,6 +23,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.errors import FeatureError
 from repro.features.gradients import GradientField, gradient_field, orientation_bins
+from repro.imaging.geometry import Rect
 from repro.imaging.image import ensure_gray
 from repro.ml.kernels import square_norm_rows
 
@@ -428,10 +429,8 @@ class DenseHogLayout:
             )
         return view.ravel()
 
-    def window_rect(self, block_row: int, block_col: int):
+    def window_rect(self, block_row: int, block_col: int) -> Rect:
         """Pixel-space rectangle of the window at a block origin."""
-        from repro.imaging.geometry import Rect
-
         cs = self.config.cell_size
         stride_px = self.config.block_stride * cs
         return Rect(

@@ -70,7 +70,7 @@ def resize_nearest(image: np.ndarray, out_height: int, out_width: int) -> np.nda
     in_h, in_w = arr.shape[:2]
     ys = np.minimum((np.arange(out_height) + 0.5) * in_h / out_height, in_h - 1).astype(int)
     xs = np.minimum((np.arange(out_width) + 0.5) * in_w / out_width, in_w - 1).astype(int)
-    return arr[np.ix_(ys, xs)] if arr.ndim == 2 else arr[np.ix_(ys, xs)]
+    return arr[np.ix_(ys, xs)]
 
 
 def resize_bilinear(image: np.ndarray, out_height: int, out_width: int) -> np.ndarray:

@@ -79,16 +79,6 @@ class HogSvmVehicleDetector:
         self.telemetry = telemetry or NULL_TELEMETRY
         self._scratch = ScratchBuffers()
 
-    # Training (paper Fig. 1) ------------------------------------------------
-
-    def train(self, dataset: ClassificationDataset, name: str | None = None) -> LinearModel:
-        """Train an SVM model from a crop corpus and install it."""
-        features = hog_features_for_dataset(dataset, self.hog)
-        svm = LinearSvm(SvmConfig(c=self.config.svm_c))
-        self.model = svm.train(features, dataset.labels, name=name or dataset.name)
-        self.model.meta["train_corpus"] = dataset.name
-        return self.model
-
     def with_model(self, model: LinearModel) -> "HogSvmVehicleDetector":
         """A detector sharing this configuration but a different model.
 
@@ -213,9 +203,19 @@ def train_condition_models(
     Returns:
         {"day": ..., "dusk": ..., "combined": ...} LinearModels.
     """
-    detector = HogSvmVehicleDetector(config)
-    day_model = detector.train(day_train, name="day")
-    dusk_model = detector.train(dusk_train, name="dusk")
-    combined_corpus = day_train.merged_with(dusk_train, name="combined")
-    combined_model = detector.train(combined_corpus, name="combined")
-    return {"day": day_model, "dusk": dusk_model, "combined": combined_model}
+    config = config or DayDuskConfig()
+    hog = HogDescriptor(config.hog)
+    svm = LinearSvm(SvmConfig(c=config.svm_c))
+    # Each HOG row depends only on its crop, so the combined model trains on
+    # the two corpora's feature matrices stacked: no second HOG pass.
+    day, dusk = (hog_features_for_dataset(corpus, hog) for corpus in (day_train, dusk_train))
+    combined_labels = np.concatenate([day_train.labels, dusk_train.labels])
+    models = {}
+    for name, features, labels, corpus in (
+        ("day", day, day_train.labels, day_train.name),
+        ("dusk", dusk, dusk_train.labels, dusk_train.name),
+        ("combined", np.vstack([day, dusk]), combined_labels, "combined"),
+    ):
+        models[name] = svm.train(features, labels, name=name)
+        models[name].meta["train_corpus"] = corpus
+    return models

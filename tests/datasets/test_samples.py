@@ -59,24 +59,6 @@ class TestClassificationDataset:
         assert len(sub) == 5
         assert not sub.very_dark.any()
 
-    def test_merge(self):
-        a = _tiny_dataset()
-        b = _tiny_dataset()
-        merged = a.merged_with(b, "combo")
-        assert len(merged) == 12
-        assert merged.name == "combo"
-
-    def test_merge_rejects_shape_mismatch(self):
-        a = _tiny_dataset()
-        b = ClassificationDataset(
-            name="other",
-            condition=LightingCondition.DAY,
-            images=np.zeros((2, 16, 16, 3)),
-            labels=np.array([1, -1]),
-        )
-        with pytest.raises(DatasetError):
-            a.merged_with(b, "combo")
-
 
 class TestExtractWindows:
     def test_positive_and_negative_extraction(self):
