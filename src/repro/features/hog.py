@@ -28,6 +28,20 @@ from repro.imaging.image import ensure_gray
 from repro.ml.kernels import square_norm_rows
 
 
+#: Cell rows per band of :meth:`HogDescriptor.extract_dense`'s front end.
+#: Small bands keep the gradient and histogram temporaries of a band (~170
+#: KB for a 640 px wide plane) in cache; 2-4 rows measured fastest (PERF.md
+#: "HOG+SVM scan, round 3").
+BAND_CELLS = 4
+
+
+def _gamma(n: int) -> float:
+    """Higham's ``gamma_n = n*u / (1 - n*u)`` for float64 (``u = 2**-53``):
+    the relative error bound of an n-operation sum or dot product."""
+    nu = n * 2.0**-53
+    return nu / (1.0 - nu)
+
+
 @dataclass(frozen=True)
 class HogConfig:
     """HOG layout parameters.
@@ -145,19 +159,22 @@ def cell_histograms_from_field(field: GradientField, cell_size: int, n_bins: int
     planes = math.prod(lead)
     plane_slots = rows * cols * n_bins
     bin_lo, w_lo, w_hi = orientation_bins(field, n_bins)
-    bin_hi = bin_lo + 1
-    bin_hi -= (bin_hi == n_bins) * n_bins
     slots = _cell_slots(height, width, cell_size, n_bins)
     if lead:
         slots = slots + np.arange(0, planes * plane_slots, plane_slots).reshape(*lead, 1, 1)
-    bin_lo += slots
-    bin_hi += slots
-    w_lo *= field.magnitude
-    w_hi *= field.magnitude
-    # Scatter-add magnitude into (cell, bin) pairs for both soft-assigned bins.
-    flat_hist = np.zeros(planes * plane_slots, dtype=np.float64)
-    np.add.at(flat_hist, bin_lo.ravel(), w_lo.ravel())
-    np.add.at(flat_hist, bin_hi.ravel(), w_hi.ravel())
+    # Both soft-assigned bins of every pixel, stacked lo over hi, so one
+    # bincount scatters them all: each slot sums its lo terms, then its hi
+    # terms, in pixel order.
+    index = np.empty((2, *bin_lo.shape), dtype=np.intp)
+    np.add(bin_lo, slots, out=index[0])
+    np.add(index[0], 1, out=index[1])
+    index[1] -= (bin_lo == n_bins - 1) * n_bins
+    weight = np.empty((2, *bin_lo.shape))
+    np.multiply(w_lo, field.magnitude, out=weight[0])
+    np.multiply(w_hi, field.magnitude, out=weight[1])
+    flat_hist = np.bincount(
+        index.ravel(), weights=weight.ravel(), minlength=planes * plane_slots
+    )
     return flat_hist.reshape(*lead, rows, cols, n_bins)
 
 
@@ -294,6 +311,11 @@ class HogDescriptor:
         """Cell/block features over a whole frame for sliding-window reuse.
 
         The image is cropped (bottom/right) to a whole number of cells.
+        Gradient, orientation bins and histograms run in bands of
+        :data:`BAND_CELLS` cell rows.  A band's gradient reads one halo row
+        beyond each side the cropped plane has, and every cell lies in one
+        band, so each histogram slot sums the same terms in the same order
+        as a whole-plane pass.
 
         Returns:
             (blocks, layout): ``blocks`` is the frame's normalised block
@@ -307,8 +329,18 @@ class HogDescriptor:
             raise FeatureError(
                 f"image {arr.shape} smaller than window {self.config.window}"
             )
-        field = gradient_field(arr[:rows, :cols])
-        cells = cell_histograms_from_field(field, cs, self.config.n_bins)
+        plane = arr[:rows, :cols]
+        n_bins = self.config.n_bins
+        cells = np.empty((rows // cs, cols // cs, n_bins))
+        step = BAND_CELLS * cs
+        for top in range(0, rows, step):
+            bottom = min(top + step, rows)
+            lo, hi = max(top - 1, 0), min(bottom + 1, rows)
+            halo = gradient_field(plane[lo:hi])
+            field = GradientField(
+                halo.magnitude[top - lo : bottom - lo], halo.orientation[top - lo : bottom - lo]
+            )
+            cells[top // cs : bottom // cs] = cell_histograms_from_field(field, cs, n_bins)
         blocks = normalize_blocks(cells, self.config)
         return blocks, DenseHogLayout(self.config, blocks.shape[0], blocks.shape[1])
 
@@ -360,13 +392,65 @@ class DenseHogLayout:
         mesh = np.stack(np.meshgrid(rows, cols, indexing="ij"), axis=-1)
         return mesh.reshape(-1, 2).astype(np.int64, copy=False)
 
+    def candidate_windows(
+        self,
+        blocks: np.ndarray,
+        weights: np.ndarray,
+        bias: float,
+        threshold: float,
+        cell_stride: int = 1,
+    ) -> np.ndarray:
+        """Indices into the window grid of every window whose margin may
+        exceed ``threshold``; every other window's margin cannot.
+
+        Each block's partial margins against the model's per-block weight
+        slices (49 for a 64x64 window) come from one small GEMM, ``P =
+        blocks @ W.T``; a window's approximate margin is then the sum of
+        its blocks' partial margins, one strided add per block offset.
+
+        L2-Hys features lie in [0, 1], so the exact margin's computed value
+        and the approximation each err by at most ``gamma_n * S`` with ``S
+        = ||w||_1 + |b|``, ``gamma_n = n*u / (1 - n*u)`` and ``u = 2**-53``
+        (``n = D + 1`` for the D-term dot product plus the bias, ``n = L +
+        B + 1`` for the L-term GEMM, the B-term window sum and the bias).
+        A window is kept when its approximate margin exceeds ``threshold -
+        slack`` with ``slack = 2 * (gamma_(D+1) + gamma_(L+B+1)) * S``; the
+        factor 2 also covers the rounding of that subtraction.  When any
+        approximate margin is not finite (a NaN or inf plane), every
+        window is kept.
+
+        Returns:
+            Increasing int indices in :meth:`window_index_grid` order.
+        """
+        rows, cols = self.window_grid(cell_stride)
+        wb_r, wb_c = self.window_blocks
+        length = blocks.shape[2]
+        per_block = np.asarray(weights, dtype=np.float64).reshape(wb_r * wb_c, length)
+        partial = (blocks.reshape(-1, length) @ per_block.T).reshape(
+            *blocks.shape[:2], wb_r, wb_c
+        )
+        span_r = (rows.size - 1) * cell_stride + 1
+        span_c = (cols.size - 1) * cell_stride + 1
+        approx = np.zeros((rows.size, cols.size))
+        for i in range(wb_r):
+            for j in range(wb_c):
+                approx += partial[i : i + span_r : cell_stride, j : j + span_c : cell_stride, i, j]
+        approx += bias
+        approx = approx.ravel()
+        if not np.isfinite(approx).all():
+            return np.arange(approx.size)
+        size = np.abs(per_block).sum() + abs(bias)
+        slack = 2.0 * (_gamma(per_block.size + 1) + _gamma(length + wb_r * wb_c + 1)) * size
+        return np.flatnonzero(approx > threshold - slack)
+
     def window_feature_matrix(
         self,
         blocks: np.ndarray,
         cell_stride: int = 1,
         out: np.ndarray | None = None,
+        windows: np.ndarray | None = None,
     ) -> np.ndarray:
-        """Every window's descriptor gathered into one (n_windows, D) matrix.
+        """Window descriptors gathered into one (n_windows, D) matrix.
 
         One strided view plus one copy replaces n_windows Python-level
         slices: block histograms shared by overlapping windows are computed
@@ -378,8 +462,10 @@ class DenseHogLayout:
             blocks: Dense block tensor from ``HogDescriptor.extract_dense``.
             cell_stride: Window grid stride in block units.
             out: Optional preallocated C-contiguous (n_windows, D) float64
-                buffer — steady-state frames can reuse it and allocate
-                nothing here.
+                buffer.
+            windows: Optional indices into the window grid
+                (:meth:`window_index_grid` order): gather only those
+                windows, in that order.
 
         Returns:
             (n_windows, feature_length) matrix (``out`` when given).
@@ -394,7 +480,7 @@ class DenseHogLayout:
                 f"({self.frame_block_rows}, {self.frame_block_cols}, ...)"
             )
         rows, cols = self.window_grid(cell_stride)
-        n = rows.size * cols.size
+        n = rows.size * cols.size if windows is None else len(windows)
         length = self.config.feature_length
         if out is None:
             out = np.empty((n, length), dtype=np.float64)
@@ -412,10 +498,12 @@ class DenseHogLayout:
         view = sliding_window_view(blocks, (wb_r, wb_c), axis=(0, 1))
         sub = view[::cell_stride, ::cell_stride]
         sub = sub[: rows.size, : cols.size]
+        if windows is not None:
+            sub = sub[np.divmod(windows, cols.size)][np.newaxis]
         # sub axes: (rows, cols, L, wb_r, wb_c) — reorder the trailing trio
         # to the (wb_r, wb_c, L) ravel order of window_feature and copy
         # straight into the output buffer.
-        shaped = out.reshape(rows.size, cols.size, wb_r, wb_c, blocks.shape[2])
+        shaped = out.reshape(*sub.shape[:2], wb_r, wb_c, blocks.shape[2])
         np.copyto(shaped, sub.transpose(0, 1, 3, 4, 2))
         return out
 

@@ -117,8 +117,8 @@ def _half_difference(arr: np.ndarray, axis: int) -> np.ndarray:
     explicitly, so no padded copy of the input is made.
     """
     out = np.empty(arr.shape)
-    src = np.moveaxis(arr, axis, -1)
-    dst = np.moveaxis(out, axis, -1)
+    src = arr.swapaxes(axis, -1)
+    dst = out.swapaxes(axis, -1)
     last = src.shape[-1] - 1
     np.subtract(src[..., 2:], src[..., :-2], out=dst[..., 1:-1])
     np.subtract(src[..., min(1, last)], src[..., 0], out=dst[..., 0])

@@ -8,6 +8,8 @@ accumulator tree implements — while arbitrary resizes use bilinear sampling.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from repro.errors import ImageError
@@ -73,30 +75,52 @@ def resize_nearest(image: np.ndarray, out_height: int, out_width: int) -> np.nda
     return arr[np.ix_(ys, xs)]
 
 
+@functools.lru_cache(maxsize=64)
+def _bilinear_taps(in_len: int, out_len: int) -> tuple[np.ndarray, ...]:
+    """(i0, i1, w, 1 - w): the two source indices and weights of each output.
+
+    Read-only and shared between calls: a detection pyramid resizes to the
+    same few shapes frame after frame, so each (in, out) pair builds its
+    taps once.
+    """
+    pos = (np.arange(out_len) + 0.5) * in_len / out_len - 0.5
+    pos = np.clip(pos, 0.0, in_len - 1.0)
+    i0 = np.floor(pos).astype(np.intp)
+    i1 = np.minimum(i0 + 1, in_len - 1)
+    w = pos - i0
+    taps = (i0, i1, w, 1 - w)
+    for tap in taps:
+        tap.flags.writeable = False
+    return taps
+
+
 def resize_bilinear(image: np.ndarray, out_height: int, out_width: int) -> np.ndarray:
-    """Bilinear resize of a 2-D plane (align-corners=False convention)."""
+    """Bilinear resize of a 2-D plane (align-corners=False convention).
+
+    Each output is ``(r0[x0]*(1-wx) + r0[x1]*wx) * (1-wy)
+    + (r1[x0]*(1-wx) + r1[x1]*wx) * wy``, evaluated in that order.  The
+    bracketed row interpolations are made once per source row and then
+    shared by the (up to two) output rows that read it.
+    """
     arr = ensure_gray(image)
     if out_height < 1 or out_width < 1:
         raise ImageError("output shape must be positive")
     in_h, in_w = arr.shape
     if in_h == out_height and in_w == out_width:
         return arr.copy()
-    ys = (np.arange(out_height) + 0.5) * in_h / out_height - 0.5
-    xs = (np.arange(out_width) + 0.5) * in_w / out_width - 0.5
-    ys = np.clip(ys, 0.0, in_h - 1.0)
-    xs = np.clip(xs, 0.0, in_w - 1.0)
-    y0 = np.floor(ys).astype(int)
-    x0 = np.floor(xs).astype(int)
-    y1 = np.minimum(y0 + 1, in_h - 1)
-    x1 = np.minimum(x0 + 1, in_w - 1)
-    wy = (ys - y0)[:, np.newaxis]
-    wx = (xs - x0)[np.newaxis, :]
-    # Gather the two source rows once, then the columns from each.
-    r0 = arr[y0]
-    r1 = arr[y1]
-    top = r0[:, x0] * (1 - wx) + r0[:, x1] * wx
-    bottom = r1[:, x0] * (1 - wx) + r1[:, x1] * wx
-    return top * (1 - wy) + bottom * wy
+    y0, y1, wy, wy_c = _bilinear_taps(in_h, out_height)
+    x0, x1, wx, wx_c = _bilinear_taps(in_w, out_width)
+    rows = np.take(arr, x0, axis=1)
+    rows *= wx_c
+    part = np.take(arr, x1, axis=1)
+    part *= wx
+    rows += part
+    out = np.take(rows, y0, axis=0)
+    out *= wy_c[:, np.newaxis]
+    part = np.take(rows, y1, axis=0)
+    part *= wy[:, np.newaxis]
+    out += part
+    return out
 
 
 def resize_rgb_bilinear(image: np.ndarray, out_height: int, out_width: int) -> np.ndarray:

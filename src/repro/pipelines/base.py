@@ -1,4 +1,4 @@
-"""Shared detection types: detections, scratch buffers, pipeline protocol."""
+"""Shared detection types: detections, the HOG+SVM window scan, pipeline protocol."""
 
 from __future__ import annotations
 
@@ -7,36 +7,9 @@ from typing import Protocol, runtime_checkable
 
 import numpy as np
 
+from repro.features.hog import DenseHogLayout, HogDescriptor
 from repro.imaging.geometry import Rect
-
-
-class ScratchBuffers:
-    """Keyed pool of preallocated arrays reused across frames.
-
-    A detector running at frame rate allocates the same (n_windows, D)
-    feature matrix and (n_windows,) score vector every frame.  This pool
-    hands the previous frame's buffer back whenever the requested shape and
-    dtype still match, so the batched hot path allocates nothing in steady
-    state; a resolution or stride change simply reallocates once.
-    """
-
-    def __init__(self) -> None:
-        self._arrays: dict[str, np.ndarray] = {}
-
-    def get(
-        self, key: str, shape: tuple[int, ...], dtype: np.dtype | type = np.float64
-    ) -> np.ndarray:
-        """A C-contiguous buffer for ``key``; contents are unspecified."""
-        want = np.dtype(dtype)
-        arr = self._arrays.get(key)
-        if arr is None or arr.shape != tuple(shape) or arr.dtype != want:
-            arr = np.empty(shape, dtype=want)
-            self._arrays[key] = arr
-        return arr
-
-    def clear(self) -> None:
-        """Drop every pooled buffer (e.g. after a resolution change)."""
-        self._arrays.clear()
+from repro.ml.linear import LinearModel
 
 
 @dataclass(frozen=True)
@@ -75,3 +48,50 @@ class DetectionPipeline(Protocol):
     def classify_crop(self, crop: np.ndarray) -> tuple[bool, float]:
         """Classify one window crop; returns (is_target, score)."""
         ...
+
+
+def scan_windows(
+    hog: HogDescriptor,
+    plane: np.ndarray,
+    model: LinearModel,
+    stride: int,
+    threshold: float,
+    batched: bool = True,
+) -> tuple[list[Rect], list[float]]:
+    """Dense HOG+SVM scan of one luma plane: (rects, scores), no NMS.
+
+    Returns every window on the ``stride`` grid whose margin exceeds
+    ``threshold``, in grid order.  The batched scan gathers and scores only
+    :meth:`~repro.features.hog.DenseHogLayout.candidate_windows`, the
+    windows an error bound cannot rule out.  ``decision_batch`` is
+    batch-size invariant, so each scored window's margin is bitwise the one
+    a full-grid scan, or the per-window reference scan (``batched=False``),
+    computes.
+    """
+    blocks, layout = hog.extract_dense(plane)
+    if not batched:
+        return scan_windows_reference(blocks, layout, model, stride, threshold)
+    grid = layout.window_index_grid(stride)
+    picked = layout.candidate_windows(blocks, model.weights, model.bias, threshold, stride)
+    margins = model.decision_batch(layout.window_feature_matrix(blocks, stride, windows=picked))
+    hits = margins > threshold
+    rects = [layout.window_rect(int(r), int(c)) for r, c in grid[picked[hits]]]
+    return rects, [float(score) for score in margins[hits]]
+
+
+def scan_windows_reference(
+    blocks: np.ndarray, layout: DenseHogLayout, model: LinearModel, stride: int, threshold: float
+) -> tuple[list[Rect], list[float]]:
+    """Per-window reference scan: slice, score, threshold, one at a time.
+
+    The ground truth the differential equivalence suite pins
+    :func:`scan_windows` against — both share the batch-size-invariant
+    scoring kernel, so outputs must match byte for byte.
+    """
+    rects, scores = [], []
+    for r, c in layout.window_positions(stride):
+        score = float(model.decision_values(layout.window_feature(blocks, r, c)))
+        if score > threshold:
+            rects.append(layout.window_rect(r, c))
+            scores.append(score)
+    return rects, scores

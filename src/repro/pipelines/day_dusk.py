@@ -15,13 +15,14 @@ import numpy as np
 from repro.datasets.samples import ClassificationDataset
 from repro.errors import PipelineError
 from repro.features.hog import HogConfig, HogDescriptor
+from repro.features.windows import pyramid
 from repro.imaging.color import luminance
 from repro.imaging.geometry import non_max_suppression
 from repro.imaging.image import ensure_rgb
 from repro.imaging.resize import resize_bilinear
 from repro.ml.linear import LinearModel, require_trained
 from repro.ml.svm import LinearSvm, SvmConfig
-from repro.pipelines.base import Detection, ScratchBuffers
+from repro.pipelines.base import Detection, scan_windows
 from repro.telemetry.metrics import DETECTIONS_BUCKETS
 from repro.telemetry.session import NULL_TELEMETRY, Telemetry
 
@@ -37,8 +38,8 @@ class DayDuskConfig:
         decision_threshold: SVM margin above which a window is a vehicle.
         nms_iou: Overlap threshold for non-maximum suppression.
         window_stride_blocks: Dense-scan stride in block units.
-        batched: Score every window of a frame with one gathered feature
-            matrix and one kernel call (the hot path).  False keeps the
+        batched: Gather and score, in one kernel call, only the windows
+            a margin bound cannot reject (the hot path).  False keeps the
             per-window reference scan the equivalence suite pins the
             batched path against — byte-identical output, just slow.
     """
@@ -77,7 +78,6 @@ class HogSvmVehicleDetector:
         self.model = model
         self.name = "vehicle-day-dusk"
         self.telemetry = telemetry or NULL_TELEMETRY
-        self._scratch = ScratchBuffers()
 
     def with_model(self, model: LinearModel) -> "HogSvmVehicleDetector":
         """A detector sharing this configuration but a different model.
@@ -113,8 +113,6 @@ class HogSvmVehicleDetector:
         pyramid recovers nearer (larger) vehicles by shrinking the frame.
         Detections are reported in native frame coordinates.
         """
-        from repro.features.windows import pyramid
-
         rgb = ensure_rgb(frame, "frame")
         plane = luminance(rgb)
         window = self.config.hog.window
@@ -139,41 +137,10 @@ class HogSvmVehicleDetector:
             raise PipelineError(
                 f"frame {plane.shape} smaller than detector window {(win_h, win_w)}"
             )
-        blocks, layout = self.hog.extract_dense(plane)
-        if not self.config.batched:
-            return self._scan_plane_reference(blocks, layout, model)
-        stride = self.config.window_stride_blocks
-        grid = layout.window_index_grid(stride)
-        n = grid.shape[0]
-        if n == 0:
-            return [], []
-        feats = layout.window_feature_matrix(
-            blocks,
-            stride,
-            out=self._scratch.get("scan.features", (n, layout.config.feature_length)),
+        cfg = self.config
+        return scan_windows(
+            self.hog, plane, model, cfg.window_stride_blocks, cfg.decision_threshold, cfg.batched
         )
-        scores = model.decision_batch(feats, out=self._scratch.get("scan.scores", (n,)))
-        rects, kept_scores = [], []
-        for i in np.flatnonzero(scores > self.config.decision_threshold):
-            rects.append(layout.window_rect(int(grid[i, 0]), int(grid[i, 1])))
-            kept_scores.append(float(scores[i]))
-        return rects, kept_scores
-
-    def _scan_plane_reference(self, blocks, layout, model) -> tuple[list, list[float]]:
-        """Per-window reference scan: slice, score, threshold, one at a time.
-
-        This is the ground truth the differential equivalence suite pins
-        ``_scan_plane`` against — both paths share the batch-size-invariant
-        scoring kernel, so outputs must match byte for byte.
-        """
-        rects, kept_scores = [], []
-        for r, c in layout.window_positions(self.config.window_stride_blocks):
-            feature = layout.window_feature(blocks, r, c)
-            score = float(model.decision_values(feature))
-            if score > self.config.decision_threshold:
-                rects.append(layout.window_rect(r, c))
-                kept_scores.append(score)
-        return rects, kept_scores
 
     def detect(self, frame: np.ndarray) -> list[Detection]:
         """Dense single-scale sliding-window detection with NMS."""

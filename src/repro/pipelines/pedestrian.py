@@ -25,7 +25,7 @@ from repro.imaging.image import ensure_rgb
 from repro.imaging.resize import resize_bilinear
 from repro.ml.linear import LinearModel, require_trained
 from repro.ml.svm import LinearSvm, SvmConfig
-from repro.pipelines.base import Detection, ScratchBuffers
+from repro.pipelines.base import Detection, scan_windows
 from repro.rng import make_rng
 from repro.telemetry.metrics import DETECTIONS_BUCKETS
 from repro.telemetry.session import NULL_TELEMETRY, Telemetry
@@ -35,7 +35,7 @@ from repro.telemetry.session import NULL_TELEMETRY, Telemetry
 class PedestrianConfig:
     """Detector parameters; the 64x32 window matches upright pedestrians.
 
-    ``batched`` selects the gathered-matrix hot path; False keeps the
+    ``batched`` selects the pruned, gathered-matrix hot path; False keeps the
     per-window reference scan (byte-identical output, for the equivalence
     suite and debugging).
     """
@@ -63,7 +63,6 @@ class PedestrianDetector:
         self.model = model
         self.name = "pedestrian"
         self.telemetry = telemetry or NULL_TELEMETRY
-        self._scratch = ScratchBuffers()
 
     def train_from_frames(self, dataset: DetectionDataset, seed: int = 13) -> LinearModel:
         """Train from annotated frames: ground-truth boxes vs random windows."""
@@ -122,32 +121,7 @@ class PedestrianDetector:
 
     def _scan_plane(self, plane: np.ndarray, model: LinearModel) -> tuple[list, list[float]]:
         """Dense scan of the luma plane; returns (rects, scores), no NMS."""
-        blocks, layout = self.hog.extract_dense(plane)
-        if not self.config.batched:
-            return self._scan_plane_reference(blocks, layout, model)
-        stride = self.config.window_stride_blocks
-        grid = layout.window_index_grid(stride)
-        n = grid.shape[0]
-        if n == 0:
-            return [], []
-        feats = layout.window_feature_matrix(
-            blocks,
-            stride,
-            out=self._scratch.get("scan.features", (n, layout.config.feature_length)),
+        cfg = self.config
+        return scan_windows(
+            self.hog, plane, model, cfg.window_stride_blocks, cfg.decision_threshold, cfg.batched
         )
-        scores = model.decision_batch(feats, out=self._scratch.get("scan.scores", (n,)))
-        rects, kept = [], []
-        for i in np.flatnonzero(scores > self.config.decision_threshold):
-            rects.append(layout.window_rect(int(grid[i, 0]), int(grid[i, 1])))
-            kept.append(float(scores[i]))
-        return rects, kept
-
-    def _scan_plane_reference(self, blocks, layout, model) -> tuple[list, list[float]]:
-        """Per-window reference scan pinned byte-identical to the hot path."""
-        rects, kept = [], []
-        for r, c in layout.window_positions(self.config.window_stride_blocks):
-            score = float(model.decision_values(layout.window_feature(blocks, r, c)))
-            if score > self.config.decision_threshold:
-                rects.append(layout.window_rect(r, c))
-                kept.append(score)
-        return rects, kept

@@ -95,8 +95,9 @@ class TestDayDusk:
         frame = rng.random((h, w, 3))
         assert_detections_identical(batched.detect(frame), reference.detect(frame))
 
-    def test_scratch_buffers_stable_across_frames(self, condition_models):
-        # Repeated frames reuse the pooled buffers; results must not drift.
+    def test_repeated_frames_give_identical_detections(self, condition_models):
+        # A detector carries no state from frame to frame: revisiting a
+        # frame after another must reproduce the reference detections.
         batched, reference = detector_pair(condition_models["day"], threshold=-0.25)
         for seed in (0, 1, 0):
             frame = scene_frame(LightingCondition.DAY, seed)
