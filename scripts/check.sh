@@ -48,7 +48,7 @@ else
     echo "== bench compare: skipped (--fast)"
 fi
 
-echo "== pytest -m equivalence (batched vs reference byte-identity)"
+echo "== pytest -m equivalence (hot scans vs per-window test oracles, byte for byte)"
 PYTHONPATH=src python -m pytest -x -q -m equivalence || status=1
 
 echo "== repro incident smoke (flight recorder: induce, bundle, replay)"

@@ -83,9 +83,8 @@ class LintConfig:
             the bench-registry contract (registered, unit-suffixed,
             clock-free).
         hot_path_packages: Packages whose sliding-window scans must score
-            through the batched entry points; per-window ``predict`` /
-            ``decision`` calls inside loops are flagged there unless the
-            enclosing function is a ``*_reference`` branch.
+            through the batched entry points; every per-window
+            ``predict`` / ``decision`` call inside a loop is flagged there.
         deterministic_sinks: Function names whose arguments must be free
             of wall-clock/entropy taint (the byte-compared artefacts).
         wall_strip_keys: Dict keys / keyword names the deterministic

@@ -1,17 +1,15 @@
-"""Batched-hot-path hygiene: no per-window scoring loops outside references.
+"""Batched-hot-path hygiene: no per-window scoring loops in pipelines.
 
 The sliding-window scans score every window of a frame through one batched
 kernel call (``decision_batch`` / ``predict_batch``); the per-window loops
-survive only as ``*_reference`` branches the equivalence suite pins the hot
-path against.  A ``model.predict(...)`` or ``model.decision_values(...)``
-call inside a ``for``/``while`` loop in a pipeline module is therefore a
-regression back to the slow shape — easy to introduce in review-sized
-diffs, invisible to the unit tests (the output is byte-identical either
-way), and only caught late by the bench gate.  This rule catches it at
-lint time.
-
-Exemption: functions whose name contains ``reference`` — that is the
-naming convention for the sanctioned slow branches.
+the equivalence suite pins the hot path against live in
+``tests/equivalence/references.py``, outside production code.  A
+``model.predict(...)`` or ``model.decision_values(...)`` call inside a
+``for``/``while`` loop in a pipeline module is therefore a regression back
+to the slow shape — easy to introduce in review-sized diffs, invisible to
+the unit tests (the output is byte-identical either way), and only caught
+late by the bench gate.  This rule catches it at lint time, whatever the
+enclosing function is called.
 """
 
 from __future__ import annotations
@@ -47,8 +45,7 @@ class BatchedHotPathRule(Rule):
     family = "performance"
     summary = (
         "per-window predict/decision calls inside pipeline loops must use "
-        "the *_batch entry points (per-window loops only in *_reference "
-        "branches)"
+        "the *_batch entry points"
     )
 
     def check(self, module: ModuleContext) -> Iterator[Violation]:
@@ -62,14 +59,11 @@ class BatchedHotPathRule(Rule):
                 continue
             if not self._inside_loop(module, node):
                 continue
-            if self._in_reference_branch(module, node):
-                continue
             yield self.violation(
                 module,
                 node,
                 f"per-window {name}() call inside a loop; score the whole "
-                f"batch with the *_batch entry point, or move the loop into "
-                f"a *_reference function",
+                f"batch with the *_batch entry point",
             )
 
     @staticmethod
@@ -94,15 +88,5 @@ class BatchedHotPathRule(Rule):
                 current, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
             ):
                 return True
-            current = module.parent(current)
-        return False
-
-    @staticmethod
-    def _in_reference_branch(module: ModuleContext, node: ast.AST) -> bool:
-        """True when the nearest enclosing function is a reference branch."""
-        current = module.parent(node)
-        while current is not None:
-            if isinstance(current, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                return "reference" in current.name
             current = module.parent(current)
         return False

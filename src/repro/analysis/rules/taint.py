@@ -1,8 +1,8 @@
 """Determinism-taint rule: wall values must not reach deterministic sinks.
 
 The repo's central correctness property is byte-identical output across
-the three execution modes (per-window reference, batched kernels, sharded
-fleet workers).  The artefacts that get byte-compared are produced by a
+execution modes (in-process drives and sharded fleet workers, with the
+batched scans pinned to per-window oracles by the equivalence suite).  The artefacts that get byte-compared are produced by a
 small set of *deterministic sinks* — ``deterministic_view``,
 ``deterministic_outcome_dict``, ``deterministic_metrics``, the frame-core
 canonicalizers and ``frames_digest``.  Any wall-clock, environment, or

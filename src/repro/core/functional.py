@@ -12,12 +12,17 @@ frames return no detections.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.adaptive.controller import ControllerConfig, LightingController
-from repro.adaptive.policy import SwitchKind, VehicleConfigurationId, plan_switch
+from repro.adaptive.policy import (
+    CONFIG_FOR_CONDITION,
+    SwitchKind,
+    VehicleConfigurationId,
+    plan_switch,
+)
 from repro.datasets.lighting import LightingCondition
 from repro.errors import ConfigurationError, PipelineError
 from repro.faults.plan import FaultPlan, FaultSite
@@ -53,16 +58,11 @@ class FunctionalConfig:
         reconfiguration_s: Blind window after a dusk<->dark switch (the
             hardware's ~20 ms; configurable for experiments).
         multiscale: Use pyramid detection for the HOG pipelines.
-        batched: Run every pipeline's sliding-window stage on the batched
-            hot path.  False selects the per-window reference scans —
-            byte-identical results (the equivalence suite pins this), just
-            slower; useful to bisect a suspected batching bug in the field.
     """
 
     controller: ControllerConfig = field(default_factory=ControllerConfig)
     reconfiguration_s: float = 0.0205
     multiscale: bool = False
-    batched: bool = True
 
     def __post_init__(self) -> None:
         if self.reconfiguration_s < 0:
@@ -87,22 +87,10 @@ class AdaptiveVehicleDetector:
         if dark_detector.dbn is None or dark_detector.matcher is None:
             raise PipelineError("dark detector must be trained")
         self.config = config or FunctionalConfig()
-        hog_config = day_dusk_config or DayDuskConfig()
-        if hog_config.batched != self.config.batched:
-            hog_config = replace(hog_config, batched=self.config.batched)
-        base = HogSvmVehicleDetector(hog_config)
+        base = HogSvmVehicleDetector(day_dusk_config or DayDuskConfig())
         self._hog = {
             name: base.with_model(model) for name, model in condition_models.items()
         }
-        if dark_detector.config.batched != self.config.batched:
-            # Same trained stages, path flag flipped — detectors are cheap
-            # shells around their models.
-            dark_detector = DarkVehicleDetector(
-                replace(dark_detector.config, batched=self.config.batched),
-                dbn=dark_detector.dbn,
-                matcher=dark_detector.matcher,
-                telemetry=dark_detector.telemetry,
-            )
         self._dark = dark_detector
         self.controller = LightingController(self.config.controller, initial=initial)
         self.fault_plan = fault_plan
@@ -177,6 +165,4 @@ class AdaptiveVehicleDetector:
 
     @staticmethod
     def configuration_for(condition: LightingCondition) -> VehicleConfigurationId:
-        from repro.adaptive.policy import CONFIG_FOR_CONDITION
-
         return CONFIG_FOR_CONDITION[condition]

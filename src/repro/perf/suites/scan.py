@@ -1,12 +1,8 @@
-"""Sliding-window scan hot paths: batched vs per-window reference.
+"""Sliding-window scan hot paths: the gathered-matrix SVM scan and DBN grid.
 
-Each learned scan is timed twice — once through the per-window reference
-branch (``batched=False``) and once through the gathered-matrix hot path —
-so one snapshot carries the before/after of the batching work and
-``repro bench --compare`` can hold the speedup: the ``*_batched_ms`` bench
-must stay a small fraction of its ``*_reference_ms`` twin.  The
-equivalence suite (pytest -m equivalence) separately proves the two
-branches return byte-identical results.
+The per-window scans these replaced live in ``tests/equivalence`` as
+oracles; the equivalence suite (pytest -m equivalence) proves the hot paths
+return byte-identical results and spies that they stay batched.
 """
 
 from __future__ import annotations
@@ -19,15 +15,15 @@ from repro.ml.linear import LinearModel
 from repro.ml.logistic import SoftmaxConfig
 from repro.ml.rbm import RbmConfig
 from repro.perf.registry import BenchContext, bench
-from repro.pipelines.dark import DBN_WINDOW, DarkConfig, DarkVehicleDetector
+from repro.pipelines.dark import DBN_WINDOW, DarkVehicleDetector
 
 
 def _svm_scan_setup(ctx: BenchContext):
-    """Dense blocks + model for the scoring stage both branches share.
+    """Dense blocks + model for the scoring stage.
 
-    The dense HOG extraction is identical work on either branch, so it
-    stays in setup; the timed region is exactly what the batching changed —
-    score every window of the frame against the SVM.
+    The dense HOG extraction stays in setup; the timed region is exactly
+    what the batching changed — score every window of the frame against
+    the SVM.
     """
     descriptor = HogDescriptor(HogConfig(window=(64, 64)))
     plane = ctx.rng.random((96, 160) if ctx.smoke else (128, 256))
@@ -37,23 +33,6 @@ def _svm_scan_setup(ctx: BenchContext):
     model = LinearModel(weights=weights, bias=0.1)
     ctx.note("n_windows", layout.window_index_grid(1).shape[0])
     return blocks, layout, model
-
-
-@bench(
-    "svm_scan_reference_ms",
-    group="scan",
-    summary="score every frame window, per-window reference branch",
-)
-def svm_scan_reference(ctx: BenchContext):
-    blocks, layout, model = _svm_scan_setup(ctx)
-
-    def run():
-        return [
-            float(model.decision_values(layout.window_feature(blocks, r, c)))
-            for r, c in layout.window_positions(1)
-        ]
-
-    return run
 
 
 @bench(
@@ -76,7 +55,7 @@ def svm_scan_batched(ctx: BenchContext):
     return run
 
 
-def _dark_detector(ctx: BenchContext, batched: bool) -> DarkVehicleDetector:
+def _dark_detector(ctx: BenchContext) -> DarkVehicleDetector:
     config = DbnConfig(
         rbm=RbmConfig(epochs=1, seed=7),
         head=SoftmaxConfig(epochs=5),
@@ -88,7 +67,7 @@ def _dark_detector(ctx: BenchContext, batched: bool) -> DarkVehicleDetector:
     labels = ctx.rng.integers(0, config.n_classes, size=64)
     ctx.digest(train, labels)
     dbn.fit(train, labels)
-    return DarkVehicleDetector(DarkConfig(batched=batched), dbn=dbn)
+    return DarkVehicleDetector(dbn=dbn)
 
 
 def _dark_mask(ctx: BenchContext) -> np.ndarray:
@@ -99,27 +78,12 @@ def _dark_mask(ctx: BenchContext) -> np.ndarray:
 
 
 @bench(
-    "dbn_grid_reference_ms",
-    group="scan",
-    summary="dark DBN grid, one-window-at-a-time reference branch",
-)
-def dbn_grid_reference(ctx: BenchContext):
-    detector = _dark_detector(ctx, batched=False)
-    mask = _dark_mask(ctx)
-
-    def run():
-        return detector.dbn_grid(mask)
-
-    return run
-
-
-@bench(
     "dbn_grid_batched_ms",
     group="scan",
     summary="dark DBN grid, chunked-batch hot path",
 )
 def dbn_grid_batched(ctx: BenchContext):
-    detector = _dark_detector(ctx, batched=True)
+    detector = _dark_detector(ctx)
     mask = _dark_mask(ctx)
 
     def run():

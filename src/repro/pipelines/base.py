@@ -7,7 +7,7 @@ from typing import Protocol, runtime_checkable
 
 import numpy as np
 
-from repro.features.hog import DenseHogLayout, HogDescriptor
+from repro.features.hog import HogDescriptor
 from repro.imaging.geometry import Rect
 from repro.ml.linear import LinearModel
 
@@ -56,21 +56,17 @@ def scan_windows(
     model: LinearModel,
     stride: int,
     threshold: float,
-    batched: bool = True,
 ) -> tuple[list[Rect], list[float]]:
     """Dense HOG+SVM scan of one luma plane: (rects, scores), no NMS.
 
     Returns every window on the ``stride`` grid whose margin exceeds
-    ``threshold``, in grid order.  The batched scan gathers and scores only
+    ``threshold``, in grid order.  It gathers and scores only
     :meth:`~repro.features.hog.DenseHogLayout.candidate_windows`, the
     windows an error bound cannot rule out.  ``decision_batch`` is
     batch-size invariant, so each scored window's margin is bitwise the one
-    a full-grid scan, or the per-window reference scan (``batched=False``),
-    computes.
+    a full-grid or a window-at-a-time scan computes.
     """
     blocks, layout = hog.extract_dense(plane)
-    if not batched:
-        return scan_windows_reference(blocks, layout, model, stride, threshold)
     grid = layout.window_index_grid(stride)
     picked = layout.candidate_windows(blocks, model.weights, model.bias, threshold, stride)
     margins = model.decision_batch(layout.window_feature_matrix(blocks, stride, windows=picked))
@@ -78,20 +74,3 @@ def scan_windows(
     rects = [layout.window_rect(int(r), int(c)) for r, c in grid[picked[hits]]]
     return rects, [float(score) for score in margins[hits]]
 
-
-def scan_windows_reference(
-    blocks: np.ndarray, layout: DenseHogLayout, model: LinearModel, stride: int, threshold: float
-) -> tuple[list[Rect], list[float]]:
-    """Per-window reference scan: slice, score, threshold, one at a time.
-
-    The ground truth the differential equivalence suite pins
-    :func:`scan_windows` against — both share the batch-size-invariant
-    scoring kernel, so outputs must match byte for byte.
-    """
-    rects, scores = [], []
-    for r, c in layout.window_positions(stride):
-        score = float(model.decision_values(layout.window_feature(blocks, r, c)))
-        if score > threshold:
-            rects.append(layout.window_rect(r, c))
-            scores.append(score)
-    return rects, scores

@@ -46,6 +46,9 @@ from repro.pipelines.taillight import (
 
 DBN_WINDOW = 9
 DBN_STRIDE = 2
+#: Max windows classified per DBN forward call; a 360x640 frame's grid
+#: has 13,416 cells, so one call covers it.
+DBN_BATCH = 65536
 
 
 @dataclass(frozen=True)
@@ -67,10 +70,6 @@ class DarkConfig:
             paper's "selection of detected taillights based on their
             obtained size features": lamps cluster roughly square; wet-road
             reflection streaks cluster tall-and-narrow and are dropped.
-        dbn_batch: Max windows classified per DBN forward call.
-        batched: Classify occupied windows in chunked batches (the hot
-            path).  False keeps the one-window-at-a-time reference scan the
-            equivalence suite pins the batched grid against.
     """
 
     luma_threshold: float | None = None
@@ -83,8 +82,6 @@ class DarkConfig:
     min_blob_windows: int = 2
     max_candidates: int = 24
     aspect_range: tuple[float, float] = (0.36, 2.8)
-    dbn_batch: int = 65536
-    batched: bool = True
 
 
 @dataclass
@@ -233,26 +230,10 @@ class DarkVehicleDetector:
             occupied.size, DBN_WINDOW * DBN_WINDOW
         )
         grid = np.zeros(ny * nx, dtype=np.int64)
-        if not self.config.batched:
-            self._dbn_grid_reference(windows, occupied, grid)
-            return grid.reshape(ny, nx)
-        for start in range(0, occupied.size, self.config.dbn_batch):
-            stop = start + self.config.dbn_batch
+        for start in range(0, occupied.size, DBN_BATCH):
+            stop = start + DBN_BATCH
             grid[occupied[start:stop]] = self.dbn.predict_batch(windows[start:stop])
         return grid.reshape(ny, nx)
-
-    def _dbn_grid_reference(
-        self, windows: np.ndarray, occupied: np.ndarray, grid: np.ndarray
-    ) -> None:
-        """One-window-at-a-time DBN scan, filled into ``grid`` in place.
-
-        The ground truth the equivalence suite pins ``dbn_grid`` against:
-        the whole stack runs through batch-size-invariant kernels, so a
-        window classified alone equals the same window classified inside
-        any chunk, bit for bit.
-        """
-        for window, i in zip(windows, occupied):
-            grid[i] = int(self.dbn.predict(window)[0])
 
     def extract_candidates(self, class_grid: np.ndarray) -> list[TaillightCandidate]:
         """Cluster DBN hits into taillight candidates.

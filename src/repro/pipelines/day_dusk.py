@@ -38,10 +38,6 @@ class DayDuskConfig:
         decision_threshold: SVM margin above which a window is a vehicle.
         nms_iou: Overlap threshold for non-maximum suppression.
         window_stride_blocks: Dense-scan stride in block units.
-        batched: Gather and score, in one kernel call, only the windows
-            a margin bound cannot reject (the hot path).  False keeps the
-            per-window reference scan the equivalence suite pins the
-            batched path against — byte-identical output, just slow.
     """
 
     hog: HogConfig = HogConfig(window=(64, 64))
@@ -49,7 +45,6 @@ class DayDuskConfig:
     decision_threshold: float = 0.0
     nms_iou: float = 0.3
     window_stride_blocks: int = 2
-    batched: bool = True
 
 
 def hog_features_for_dataset(dataset: ClassificationDataset, hog: HogDescriptor) -> np.ndarray:
@@ -139,7 +134,7 @@ class HogSvmVehicleDetector:
             )
         cfg = self.config
         return scan_windows(
-            self.hog, plane, model, cfg.window_stride_blocks, cfg.decision_threshold, cfg.batched
+            self.hog, plane, model, cfg.window_stride_blocks, cfg.decision_threshold
         )
 
     def detect(self, frame: np.ndarray) -> list[Detection]:

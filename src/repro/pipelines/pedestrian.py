@@ -33,12 +33,7 @@ from repro.telemetry.session import NULL_TELEMETRY, Telemetry
 
 @dataclass(frozen=True)
 class PedestrianConfig:
-    """Detector parameters; the 64x32 window matches upright pedestrians.
-
-    ``batched`` selects the pruned, gathered-matrix hot path; False keeps the
-    per-window reference scan (byte-identical output, for the equivalence
-    suite and debugging).
-    """
+    """Detector parameters; the 64x32 window matches upright pedestrians."""
 
     hog: HogConfig = HogConfig(window=(64, 32))
     svm_c: float = 1.0
@@ -46,7 +41,6 @@ class PedestrianConfig:
     nms_iou: float = 0.3
     window_stride_blocks: int = 2
     negatives_per_frame: int = 6
-    batched: bool = True
 
 
 class PedestrianDetector:
@@ -123,5 +117,5 @@ class PedestrianDetector:
         """Dense scan of the luma plane; returns (rects, scores), no NMS."""
         cfg = self.config
         return scan_windows(
-            self.hog, plane, model, cfg.window_stride_blocks, cfg.decision_threshold, cfg.batched
+            self.hog, plane, model, cfg.window_stride_blocks, cfg.decision_threshold
         )

@@ -395,12 +395,13 @@ class TestBatchedHotPath:
         src = "def scan(model, ws):\n    return [model.predict_proba(w) for w in ws]\n"
         assert only(src, "batched-hot-path", module=self.PIPELINE) == ["batched-hot-path"]
 
-    def test_quiet_in_reference_branch(self):
+    def test_fires_in_reference_named_function(self):
+        # No name exempts a loop: the per-window references live in tests.
         src = (
             "def _scan_plane_reference(model, windows):\n"
             "    return [float(model.decision_values(w)) for w in windows]\n"
         )
-        assert only(src, "batched-hot-path", module=self.PIPELINE) == []
+        assert only(src, "batched-hot-path", module=self.PIPELINE) == ["batched-hot-path"]
 
     def test_quiet_on_batch_entry_points(self):
         src = (

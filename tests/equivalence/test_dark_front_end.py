@@ -11,6 +11,7 @@ rendered night frames and on edge-case masks.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import replace
 
 import numpy as np
@@ -22,7 +23,10 @@ from repro.imaging.color import rgb_to_ycbcr, split_channels
 from repro.imaging.morphology import closing, square_element
 from repro.imaging.resize import downsample_area, downsample_binary
 from repro.imaging.threshold import binary_threshold, otsu_threshold
+from repro.pipelines import dark
 from repro.pipelines.dark import DBN_STRIDE, DBN_WINDOW, DarkVehicleDetector
+
+from tests.equivalence.references import reference_scans
 
 pytestmark = pytest.mark.equivalence
 
@@ -171,14 +175,15 @@ class TestDbnGrid:
         mask = edge_masks()[name]
         assert_bytes_equal(dark_detector.dbn_grid(mask), oracle_dbn_grid(dark_detector, mask))
 
-    @pytest.mark.parametrize("batched", [True, False])
+    @pytest.mark.parametrize("hot_path", [True, False])
     @pytest.mark.parametrize("name", sorted(edge_masks()))
-    def test_edge_masks_gather_the_oracle_windows(self, dark_detector, name, batched):
-        detector = DarkVehicleDetector(
-            replace(dark_detector.config, batched=batched, dbn_batch=7), dbn=ProbeDbn()
-        )
+    def test_edge_masks_gather_the_oracle_windows(self, monkeypatch, name, hot_path):
+        monkeypatch.setattr(dark, "DBN_BATCH", 7)
+        detector = DarkVehicleDetector(dbn=ProbeDbn())
         mask = edge_masks()[name]
-        assert_bytes_equal(detector.dbn_grid(mask), oracle_dbn_grid(detector, mask))
+        with nullcontext() if hot_path else reference_scans():
+            grid = detector.dbn_grid(mask)
+        assert_bytes_equal(grid, oracle_dbn_grid(detector, mask))
 
     @pytest.mark.parametrize("height,width,seed", FRAMES)
     def test_rendered_frames_match_oracle(self, dark_detector, height, width, seed):
@@ -186,16 +191,13 @@ class TestDbnGrid:
         assert_bytes_equal(dark_detector.dbn_grid(mask), oracle_dbn_grid(dark_detector, mask))
 
     @pytest.mark.parametrize("name", ["all_lit", "float_valued", "odd_h_minus_9"])
-    def test_small_batches_match_oracle(self, dark_detector, name):
-        detector = DarkVehicleDetector(
-            replace(dark_detector.config, dbn_batch=7), dbn=dark_detector.dbn
-        )
+    def test_small_batches_match_oracle(self, dark_detector, monkeypatch, name):
+        monkeypatch.setattr(dark, "DBN_BATCH", 7)
         mask = edge_masks()[name]
-        assert_bytes_equal(detector.dbn_grid(mask), oracle_dbn_grid(dark_detector, mask))
+        assert_bytes_equal(dark_detector.dbn_grid(mask), oracle_dbn_grid(dark_detector, mask))
 
     def test_reference_branch_matches_oracle(self, dark_detector):
-        detector = DarkVehicleDetector(
-            replace(dark_detector.config, batched=False), dbn=dark_detector.dbn
-        )
         mask = edge_masks()["float_valued"]
-        assert_bytes_equal(detector.dbn_grid(mask), oracle_dbn_grid(dark_detector, mask))
+        with reference_scans():
+            grid = dark_detector.dbn_grid(mask)
+        assert_bytes_equal(grid, oracle_dbn_grid(dark_detector, mask))

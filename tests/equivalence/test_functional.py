@@ -1,9 +1,10 @@
 """Differential tests: the full adaptive detector, batched vs reference.
 
-A seeded drive crosses day -> dusk -> dark; two AdaptiveVehicleDetector
-instances share the same trained models but opposite ``batched`` flags.
-Every FrameResult — condition, active pipeline, reconfiguration state, and
-each detection down to its score bits — must be identical.
+A seeded drive crosses day -> dusk -> dark; two identical
+AdaptiveVehicleDetector instances share the same trained models, and one
+drives under :func:`~tests.equivalence.references.reference_scans`.  Every
+FrameResult — condition, active pipeline, reconfiguration state, and each
+detection down to its score bits — must be identical.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from repro.core.functional import AdaptiveVehicleDetector, FunctionalConfig
 from repro.datasets.lighting import LightingCondition, lighting_for_condition
 from repro.datasets.scene import SceneConfig, render_scene
 
+from tests.equivalence.references import reference_scans
 from tests.equivalence.test_pipelines import assert_detections_identical
 
 pytestmark = pytest.mark.equivalence
@@ -49,12 +51,15 @@ def drive_frames(seed: int):
     return frames
 
 
-def make_detector(condition_models, dark_detector, batched: bool) -> AdaptiveVehicleDetector:
-    return AdaptiveVehicleDetector(
-        condition_models,
-        dark_detector,
-        config=FunctionalConfig(batched=batched),
-    )
+def drive_both_paths(make_detector, frames):
+    """Two fresh detectors after one drive: on the hot path, on the reference scans."""
+    hot, reference = make_detector(), make_detector()
+    for time_s, lux, frame in frames:
+        hot.process(time_s, lux, frame)
+    with reference_scans():
+        for time_s, lux, frame in frames:
+            reference.process(time_s, lux, frame)
+    return hot, reference
 
 
 def assert_frame_results_identical(a, b):
@@ -71,29 +76,19 @@ class TestAdaptiveDrive:
     def test_frame_records_identical_across_conditions(
         self, condition_models, dark_detector, seed
     ):
-        batched = make_detector(condition_models, dark_detector, batched=True)
-        reference = make_detector(condition_models, dark_detector, batched=False)
-        for time_s, lux, frame in drive_frames(seed):
-            result_b = batched.process(time_s, lux, frame)
-            result_r = reference.process(time_s, lux, frame)
+        hot, reference = drive_both_paths(
+            lambda: AdaptiveVehicleDetector(condition_models, dark_detector), drive_frames(seed)
+        )
+        assert len(hot.results) == len(reference.results) == len(DRIVE)
+        for result_b, result_r in zip(hot.results, reference.results):
             assert_frame_results_identical(result_b, result_r)
-        assert len(batched.results) == len(reference.results) == len(DRIVE)
-
-    def test_batched_flag_reaches_all_pipelines(self, condition_models, dark_detector):
-        reference = make_detector(condition_models, dark_detector, batched=False)
-        for detector in reference._hog.values():
-            assert detector.config.batched is False
-        assert reference._dark.config.batched is False
-        assert reference._dark.dbn is dark_detector.dbn  # same trained stages
-        batched = make_detector(condition_models, dark_detector, batched=True)
-        assert batched._dark is dark_detector  # default flag: no reshelling
 
     def test_multiscale_drive_identical(self, condition_models, dark_detector):
-        config_b = FunctionalConfig(batched=True, multiscale=True)
-        config_r = FunctionalConfig(batched=False, multiscale=True)
-        batched = AdaptiveVehicleDetector(condition_models, dark_detector, config=config_b)
-        reference = AdaptiveVehicleDetector(condition_models, dark_detector, config=config_r)
-        for time_s, lux, frame in drive_frames(3)[:4]:  # day + dusk levels
-            assert_frame_results_identical(
-                batched.process(time_s, lux, frame), reference.process(time_s, lux, frame)
-            )
+        config = FunctionalConfig(multiscale=True)
+        hot, reference = drive_both_paths(
+            lambda: AdaptiveVehicleDetector(condition_models, dark_detector, config=config),
+            drive_frames(3)[:4],  # day + dusk levels
+        )
+        assert len(hot.results) == len(reference.results) == 4
+        for result_b, result_r in zip(hot.results, reference.results):
+            assert_frame_results_identical(result_b, result_r)

@@ -63,7 +63,7 @@ class TestKernelInvariance:
     @settings(max_examples=40, deadline=None)
     def test_affine_rows_sublist_invariant(self, n, seed):
         # Any contiguous or strided sub-batch scores identically too —
-        # chunked scans (the dark pipeline's dbn_batch) rely on this.
+        # chunked scans (the dark pipeline's DBN_BATCH) rely on this.
         x = _matrix(n, 16, seed)
         w = np.random.default_rng(seed + 1).normal(size=16)
         full = affine_rows(x, w, -0.5)

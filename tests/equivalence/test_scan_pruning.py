@@ -8,6 +8,8 @@ scored, then thresholded.  Rects and score bits must match exactly, with
 thresholds placed on and one ulp either side of real window scores, on
 hypothesis-drawn models, planes and strides, at thresholds of +-inf, and on
 NaN/inf planes, where the scan must fall back to scoring every window.
+Spies then hold both learned scans to one batched kernel call per plane
+(``decision_batch``) and per chunk (``predict_batch``), never per window.
 """
 
 from __future__ import annotations
@@ -17,7 +19,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.features.hog import HogConfig, HogDescriptor
+from repro.ml.dbn import DeepBeliefNetwork
 from repro.ml.linear import LinearModel
+from repro.pipelines import dark
 from repro.pipelines.base import scan_windows
 
 pytestmark = pytest.mark.equivalence
@@ -169,3 +173,49 @@ class TestNonFinite:
         model = random_model(hog.config, seed=5)
         model.weights[17] = np.nan
         assert assert_scan_matches(hog, plane, model, 1, -np.inf) == []
+
+
+def spy(monkeypatch, cls, name: str) -> list[int]:
+    """Record the row count of every call to ``cls.name``."""
+    calls: list[int] = []
+    real = getattr(cls, name)
+
+    def recorded(self, data, *args, **kwargs):
+        calls.append(len(np.atleast_2d(data)))
+        return real(self, data, *args, **kwargs)
+
+    monkeypatch.setattr(cls, name, recorded)
+    return calls
+
+
+class TestStaysBatched:
+    """Un-batching a scan keeps every byte, so only a spy sees it."""
+
+    @pytest.mark.parametrize("threshold", [-np.inf, 0.0])
+    def test_scan_windows_scores_each_plane_in_one_batch(self, monkeypatch, threshold):
+        batches = spy(monkeypatch, LinearModel, "decision_batch")
+        singles = spy(monkeypatch, LinearModel, "decision_values")
+        hog = HogDescriptor()
+        model = random_model(hog.config, seed=8)
+        shapes = [(360, 640), (180, 320), (96, 128)]
+        for seed, shape in enumerate(shapes):
+            scan_windows(hog, textured_plane(shape, seed), model, 2, threshold)
+        assert len(batches) == len(shapes)
+        assert singles == []
+
+    def test_dbn_grid_classifies_a_frame_in_one_batch(self, dark_detector, monkeypatch):
+        batches = spy(monkeypatch, DeepBeliefNetwork, "predict_batch")
+        singles = spy(monkeypatch, DeepBeliefNetwork, "predict")
+        # A 360x640 frame decimates by 2 to a 180x320 mask: an 86x156 grid.
+        # All lit is the worst case, every one of its 13,416 windows occupied.
+        dark_detector.dbn_grid(np.ones((180, 320)))
+        assert batches == [86 * 156]
+        assert singles == []
+
+    def test_dbn_grid_calls_once_per_chunk(self, dark_detector, monkeypatch):
+        monkeypatch.setattr(dark, "DBN_BATCH", 7)
+        batches = spy(monkeypatch, DeepBeliefNetwork, "predict_batch")
+        singles = spy(monkeypatch, DeepBeliefNetwork, "predict")
+        dark_detector.dbn_grid(np.ones((40, 70)))  # a 16x31 grid
+        assert batches == [7] * (16 * 31 // 7) + [16 * 31 % 7]
+        assert singles == []
