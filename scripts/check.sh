@@ -41,8 +41,9 @@ if [[ $fast -eq 0 ]]; then
     # --threshold 0.5: the baseline was measured on a different (shared)
     # box; between-run load drift here is routinely +/-30%, which the
     # within-run MAD noise floor cannot see (PERF.md, "Baselines and the
-    # regression gate").  The gate exists to catch structural slowdowns --
-    # un-batching a window scan costs 5-20x -- not scheduling jitter.
+    # regression gate").  The gate exists to catch structural slowdowns,
+    # not scheduling jitter.  An un-batched window scan is caught
+    # deterministically by tests/equivalence/test_scan_pruning.py::TestStaysBatched.
     PYTHONPATH=src python -m repro bench --compare BENCH_repro.json --threshold 0.5 || status=1
 else
     echo "== bench compare: skipped (--fast)"

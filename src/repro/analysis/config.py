@@ -2,59 +2,37 @@
 
 Everything a rule needs to know about *this* repository lives here: which
 packages are simulation domains (and therefore must be deterministic),
-which module is the sanctioned RNG injection point, what the telemetry
-event vocabulary is, and which packages form the documented public API.
+which module is the sanctioned RNG injection point, which event kinds
+each emitter accepts, and which packages form the documented public API.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Mapping
 
 
-def _default_event_vocabulary() -> frozenset[str]:
-    # Single source of truth: the vocabulary declared next to Trace.emit.
+def _default_event_vocabularies() -> Mapping[str, tuple[int, frozenset[str]]]:
+    # Single source of truth: each vocabulary is declared next to its
+    # emitter, which also rejects an unknown kind at run time.
+    from repro.fleet.events import FLEET_EVENT_KINDS
+    from repro.monitor.events import MONITOR_EVENT_KINDS
+    from repro.quality.events import QUALITY_EVENT_KINDS
     from repro.zynq.events import EVENT_KINDS
 
-    return EVENT_KINDS
-
-
-def _default_monitor_vocabulary() -> frozenset[str]:
-    # Single source of truth: the vocabulary declared next to Monitor.emit_event.
-    from repro.monitor.events import MONITOR_EVENT_KINDS
-
-    return MONITOR_EVENT_KINDS
-
-
-def _default_fleet_vocabulary() -> frozenset[str]:
-    # Single source of truth: the vocabulary next to FleetScheduler.fleet_event.
-    from repro.fleet.events import FLEET_EVENT_KINDS
-
-    return FLEET_EVENT_KINDS
-
-
-def _default_quality_vocabulary() -> frozenset[str]:
-    # Single source of truth: the vocabulary next to quality_event.
-    from repro.quality.events import QUALITY_EVENT_KINDS
-
-    return QUALITY_EVENT_KINDS
+    return {
+        "emit": (2, EVENT_KINDS),  # Trace.emit(time, source, kind, message)
+        "emit_event": (0, MONITOR_EVENT_KINDS),  # Monitor.emit_event(kind, time_s)
+        "fleet_event": (0, FLEET_EVENT_KINDS),  # FleetScheduler.fleet_event(kind)
+        "quality_event": (0, QUALITY_EVENT_KINDS),  # quality_event(kind), method or function
+    }
 
 
 def _default_wall_strip_keys() -> frozenset[str]:
-    # Single source of truth: the strip lists next to the deterministic
-    # views themselves — a wall value stored under one of these keys is
-    # removed before any byte-compared artefact is built.
-    from repro.fleet.outcome import WALL_METRIC_NAMES, WALL_OUTCOME_FIELDS
-    from repro.fleet.rollup import WALL_ROLLUP_KEYS
-    from repro.fleet.status import WALL_STATUS_KEYS
-    from repro.quality.baseline import WALL_QUALITY_KEYS
+    # Single source of truth: the registry the deterministic views strip.
+    from repro.core.spec import WALL_KEYS
 
-    return (
-        frozenset(WALL_METRIC_NAMES)
-        | frozenset(WALL_OUTCOME_FIELDS)
-        | frozenset(WALL_ROLLUP_KEYS)
-        | frozenset(WALL_STATUS_KEYS)
-        | frozenset(WALL_QUALITY_KEYS)
-    )
+    return WALL_KEYS
 
 
 @dataclass(frozen=True)
@@ -71,10 +49,8 @@ class LintConfig:
         unit_stems: Name fragments that mark a value as time- or
             throughput-like and therefore unit-bearing.
         unit_suffixes: Accepted unit suffixes (the paper's units).
-        event_vocabulary: Legal ``Trace.emit`` event kinds.
-        monitor_vocabulary: Legal ``Monitor.emit_event`` event kinds.
-        fleet_vocabulary: Legal ``FleetScheduler.fleet_event`` event kinds.
-        quality_vocabulary: Legal ``quality_event`` event kinds.
+        event_vocabularies: Event emitter name (method or function) ->
+            (position of its ``kind`` argument, legal kinds).
         api_packages: Packages whose public surface must carry docstrings
             and complete type annotations.
         span_exempt_modules: Modules implementing the span machinery
@@ -129,11 +105,8 @@ class LintConfig:
     unit_suffixes: frozenset[str] = frozenset(
         {"s", "ms", "us", "ns", "mbs", "bps", "fps", "hz", "mhz", "cycles", "frames"}
     )
-    event_vocabulary: frozenset[str] = field(default_factory=_default_event_vocabulary)
-    monitor_vocabulary: frozenset[str] = field(default_factory=_default_monitor_vocabulary)
-    fleet_vocabulary: frozenset[str] = field(default_factory=_default_fleet_vocabulary)
-    quality_vocabulary: frozenset[str] = field(
-        default_factory=_default_quality_vocabulary
+    event_vocabularies: Mapping[str, tuple[int, frozenset[str]]] = field(
+        default_factory=_default_event_vocabularies
     )
     api_packages: tuple[str, ...] = ("repro.pipelines", "repro.zynq")
     span_exempt_modules: tuple[str, ...] = ("repro.telemetry",)

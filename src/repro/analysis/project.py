@@ -34,11 +34,11 @@ The taint model, honestly stated (a linter, not a verifier):
   calls to unresolved/builtin functions conservatively propagate argument
   and receiver taint.
 * **Laundering**: a value stored under a key or keyword named in the wall
-  strip lists (``WALL_METRIC_NAMES`` / ``WALL_ROLLUP_KEYS`` /
-  ``WALL_OUTCOME_FIELDS``) is clean again — the deterministic views strip
-  exactly those keys, so the wall value never survives into the
-  deterministic artefact.  Resolved project *class* constructors are
-  clean (dataclasses segregate wall fields by the same contract).
+  registry (:data:`repro.core.spec.WALL_KEYS`) is clean again — the
+  deterministic views strip every one of those keys, so the wall value
+  never survives into the deterministic artefact.  Resolved project
+  *class* constructors are clean (dataclasses segregate wall fields by
+  the same contract).
 """
 
 from __future__ import annotations

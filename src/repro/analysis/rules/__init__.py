@@ -4,13 +4,10 @@ from repro.analysis.rules import (  # noqa: F401
     api,
     determinism,
     exports,
-    fleet,
     forksafety,
     hotpath,
-    monitor,
     perf,
     pragma,
-    quality,
     robustness,
     taint,
     telemetry,

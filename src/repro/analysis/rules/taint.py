@@ -14,9 +14,10 @@ interprocedural taint summaries (``ProjectContext.wall_tainted_functions``,
 a fixpoint over the call graph), and the shared :class:`TaintEvaluator`
 tracks flow through locals, containers, arithmetic and ``with`` bindings
 inside each scope.  Values stored under the wall strip keys
-(``WALL_METRIC_NAMES`` / ``WALL_OUTCOME_FIELDS`` / ``WALL_ROLLUP_KEYS``)
-are laundered — the deterministic views strip exactly those keys, so the
-wall value never survives into the artefact.
+(``LintConfig.wall_strip_keys``, by default
+:data:`repro.core.spec.WALL_KEYS`) are laundered — the deterministic
+views strip every one of those keys, so the wall value never survives
+into the artefact.
 """
 
 from __future__ import annotations

@@ -2,8 +2,12 @@
 
 A ``tracer.span(...)`` held outside a ``with`` block is a span leak — it
 never closes, never records, and silently skews every aggregate derived
-from the dump.  An ``emit`` kind outside the declared vocabulary is an
-event no summary, exporter filter, or acceptance test will ever look for.
+from the dump.  An event kind outside its emitter's declared vocabulary
+(``Trace.emit``, ``Monitor.emit_event``, ``FleetScheduler.fleet_event``,
+``quality_event``) is an event no summary, rollup reader, bundle loader
+or acceptance test will ever look for.  Each emitter also rejects an
+unknown kind at run time, but only when that code path fires; the lint
+catches it at review time.
 """
 
 from __future__ import annotations
@@ -50,28 +54,34 @@ class SpanContextRule(Rule):
 
 @register
 class EventVocabularyRule(Rule):
-    """``Trace.emit`` kinds come from the declared vocabulary."""
+    """Every event emitter's kinds come from the vocabulary declared next to it.
+
+    The emitters and their vocabularies are one table,
+    ``LintConfig.event_vocabularies``; a call matches by method or bare
+    function name, and its ``kind`` is read at the emitter's position or
+    from the ``kind=`` keyword.
+    """
 
     id = "event-vocabulary"
     family = "telemetry"
     summary = (
-        "Trace.emit event kinds must be string literals from the declared "
-        "vocabulary (repro.zynq.events.EVENT_KINDS)"
+        "event kinds passed to Trace.emit, Monitor.emit_event, "
+        "FleetScheduler.fleet_event and quality_event must be string "
+        "literals from the vocabulary declared next to each emitter "
+        "(LintConfig.event_vocabularies)"
     )
 
     def check(self, module: ModuleContext) -> Iterator[Violation]:
-        vocabulary = module.config.event_vocabulary
+        emitters = module.config.event_vocabularies
         for node in ast.walk(module.tree):
-            if not (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr == "emit"
-            ):
+            if not isinstance(node, ast.Call):
                 continue
-            # Trace.emit(time, source, kind, message, **attrs)
-            kind_node: ast.expr | None = None
-            if len(node.args) >= 3:
-                kind_node = node.args[2]
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name not in emitters:
+                continue
+            kind_arg, vocabulary = emitters[name]
+            kind_node = node.args[kind_arg] if len(node.args) > kind_arg else None
             for keyword in node.keywords:
                 if keyword.arg == "kind":
                     kind_node = keyword.value
@@ -80,9 +90,9 @@ class EventVocabularyRule(Rule):
             if not (isinstance(kind_node, ast.Constant) and isinstance(kind_node.value, str)):
                 yield self.violation(
                     module,
-                    kind_node if kind_node is not None else node,
-                    "emit kind must be a string literal so the vocabulary "
-                    "is statically checkable",
+                    kind_node,
+                    f"{name} kind must be a string literal so the "
+                    "vocabulary is statically checkable",
                 )
                 continue
             if kind_node.value not in vocabulary:
@@ -90,7 +100,6 @@ class EventVocabularyRule(Rule):
                 yield self.violation(
                     module,
                     kind_node,
-                    f"emit kind {kind_node.value!r} is not in the declared "
-                    f"event vocabulary ({known}); add it to "
-                    "repro.zynq.events.EVENT_KINDS first",
+                    f"{name} kind {kind_node.value!r} is not in the vocabulary "
+                    f"declared for {name} ({known}); add it there first",
                 )

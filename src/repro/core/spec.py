@@ -15,6 +15,9 @@ deterministic subset of a :class:`~repro.core.system.FrameRecord` (no
 telemetry span ids, no wall-clock values) serialised as sorted-key JSON,
 and :func:`frames_digest`, the SHA-256 chain over a drive's frame cores
 that the fleet uses to byte-compare drives without shipping every frame.
+It also declares, once, the field names no byte comparison may see
+(:data:`WALL_KEYS` and :data:`PLANE_KEYS`): the fleet's deterministic
+views strip them and the determinism-taint lint rule launders them.
 """
 
 from __future__ import annotations
@@ -222,3 +225,55 @@ def frames_digest(frames: Iterable["FrameRecord"]) -> str:
         h.update(frame_core_bytes(record))
         h.update(b"\n")
     return h.hexdigest()
+
+
+# Non-deterministic fields ----------------------------------------------------
+
+#: Names whose values are wall-clock or scheduling measurements: outcome
+#: fields (``latency_ms``, ``wall_s``, ``worker_id`` and the liveness pair
+#: ``hang_verdict``/``last_heartbeat_age_s``), the rollup's ``wall``
+#: section, the wall-derived metric series, the status plane's fields and
+#: the quality suite's ``suite_wall_s``.  Every deterministic view strips
+#: them, and the determinism-taint lint rule launders a value stored
+#: under one of them (``LintConfig.wall_strip_keys``).
+WALL_KEYS = frozenset(
+    {
+        "latency_ms",
+        "wall_s",
+        "worker_id",
+        "hang_verdict",
+        "last_heartbeat_age_s",
+        "wall",
+        "frame_wall_ms",
+        "stage_wall_ms",
+        "frame_deadline_misses_total",
+        "elapsed_s",
+        "heartbeat_age_s",
+        "drive_age_s",
+        "drives_per_s",
+        "beats",
+        "suite_wall_s",
+    }
+)
+
+#: Names that exist only when the quality plane is attached (its outcome
+#: field, rollup section and metric series), or that record *how* a fleet
+#: ran rather than what it computed (``config``, ``events_by_kind``).
+#: Stripping them makes a view with the plane on byte-match the view with
+#: it off — the non-perturbation contract.
+PLANE_KEYS = frozenset(
+    {
+        "quality",
+        "quality_frames_scored_total",
+        "quality_tp_total",
+        "quality_fp_total",
+        "quality_fn_total",
+        "detection_iou",
+        "config",
+        "events_by_kind",
+    }
+)
+
+#: What ``deterministic_view``, ``deterministic_outcome_dict`` and
+#: ``deterministic_metrics`` strip, at every level they inspect.
+NONDETERMINISTIC_KEYS = WALL_KEYS | PLANE_KEYS

@@ -9,8 +9,10 @@ dusk, instantaneous) or trigger a partial reconfiguration (dusk <-> dark,
 frames while the pedestrian detector "continues its operation ... and
 guarantees the real-time and safe behavior of the system".
 
-Optionally, the drive also *renders* frames with the scene generator and
-runs the active software pipeline on them, closing the loop functionally.
+The drive is timing and control only: ``run_drive`` renders no pixels and
+runs no detection pipeline.  The pixel path — rendered frames through the
+pipeline the lighting condition selects — is
+:class:`repro.core.functional.AdaptiveVehicleDetector`.
 """
 
 from __future__ import annotations

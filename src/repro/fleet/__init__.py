@@ -15,8 +15,6 @@ from repro.fleet.events import FLEET_EVENT_KINDS, check_fleet_event_kind
 from repro.fleet.outcome import (
     HANG_VERDICTS,
     OUTCOME_STATUSES,
-    WALL_METRIC_NAMES,
-    WALL_OUTCOME_FIELDS,
     DriveOutcome,
     deterministic_metrics,
     deterministic_outcome_dict,
@@ -24,7 +22,6 @@ from repro.fleet.outcome import (
 from repro.fleet.rollup import (
     FLEET_SCHEMA,
     FLEET_SCHEMA_VERSION,
-    WALL_ROLLUP_KEYS,
     build_rollup,
     deterministic_view,
     load_rollup,
@@ -37,7 +34,6 @@ from repro.fleet.specs import sweep_specs
 from repro.fleet.status import (
     STATUS_SCHEMA,
     STATUS_SCHEMA_VERSION,
-    WALL_STATUS_KEYS,
     WORKER_STATES,
     StatusBoard,
     render_status,
@@ -56,10 +52,6 @@ __all__ = [
     "SCHEDULER_PID",
     "STATUS_SCHEMA",
     "STATUS_SCHEMA_VERSION",
-    "WALL_METRIC_NAMES",
-    "WALL_OUTCOME_FIELDS",
-    "WALL_ROLLUP_KEYS",
-    "WALL_STATUS_KEYS",
     "WORKER_STATES",
     "Admission",
     "DriveOutcome",

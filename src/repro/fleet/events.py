@@ -4,9 +4,9 @@ Mirrors :data:`repro.monitor.events.MONITOR_EVENT_KINDS`: every typed
 event the fleet scheduler emits (through
 :meth:`~repro.fleet.scheduler.FleetScheduler.fleet_event`) must use a kind
 from this set, so rollup readers, the fleet CLI report, and the acceptance
-tests can rely on the names being exhaustive.  The
-``fleet-event-vocabulary`` lint rule enforces the same contract
-statically; :func:`check_fleet_event_kind` enforces it at runtime.
+tests can rely on the names being exhaustive.  The ``event-vocabulary``
+lint rule enforces the same contract statically;
+:func:`check_fleet_event_kind` enforces it at runtime.
 """
 
 from __future__ import annotations

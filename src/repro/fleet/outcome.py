@@ -7,11 +7,10 @@ drive summary, the monitor verdict, a per-frame wall-latency histogram,
 a compact telemetry snapshot, and harvested incident-bundle paths.  It
 crosses the worker->scheduler process boundary as a plain dict.
 
-Wall-clock-valued fields are segregated so determinism tests (and the
-rollup's ``deterministic_view``) can strip them: ``latency_ms``,
-``wall_s``, ``worker_id``, and the few metric series that are themselves
-wall-derived (``frame_wall_ms``, ``stage_wall_ms``,
-``frame_deadline_misses_total``).
+Wall-clock-valued fields (``latency_ms``, ``wall_s``, ``worker_id``, the
+wall-derived metric series) and quality-plane fields are named in
+:data:`repro.core.spec.NONDETERMINISTIC_KEYS`, so determinism tests (and
+the rollup's ``deterministic_view``) can strip them.
 """
 
 from __future__ import annotations
@@ -19,54 +18,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping
 
+from repro.core.spec import NONDETERMINISTIC_KEYS
 from repro.errors import FleetError
 
 #: Legal outcome statuses.  ``ok`` is the only success; everything else is
 #: a contained failure — the run keeps going either way.
 OUTCOME_STATUSES = ("ok", "failed", "crashed", "timeout", "rejected")
 
-#: Outcome dict keys whose values are wall-clock-derived (stripped by
-#: :func:`deterministic_outcome_dict`).  ``hang_verdict`` and
-#: ``last_heartbeat_age_s`` describe the *execution* of a timed-out drive
-#: (did heartbeats stop, and how stale was the last one) — liveness is a
-#: wall-clock property, so both stay out of the deterministic view.
-WALL_OUTCOME_FIELDS = (
-    "latency_ms",
-    "wall_s",
-    "worker_id",
-    "hang_verdict",
-    "last_heartbeat_age_s",
-)
-
 #: Legal ``hang_verdict`` values for ``timeout`` outcomes: ``hung`` means
 #: the worker's heartbeats stopped before the deadline fired; ``deadline``
 #: means the worker was still beating — slow, not wedged.
 HANG_VERDICTS = ("hung", "deadline")
-
-#: Metric series that carry wall-clock measurements and therefore vary
-#: run to run even for a byte-identical drive.
-WALL_METRIC_NAMES = frozenset(
-    {"frame_wall_ms", "stage_wall_ms", "frame_deadline_misses_total"}
-)
-
-#: Outcome dict keys that exist only when the quality plane is attached
-#: (stripped by :func:`deterministic_outcome_dict`): the deterministic
-#: view of a quality-scored drive must be byte-identical to the view of
-#: the same drive unscored — the quality plane's non-perturbation
-#: contract, the exact analogue of the wall-clock strip above.
-QUALITY_OUTCOME_FIELDS = ("quality",)
-
-#: Metric series emitted only by the quality plane (stripped alongside
-#: the wall series for the same on-vs-off byte-identity reason).
-QUALITY_METRIC_NAMES = frozenset(
-    {
-        "quality_frames_scored_total",
-        "quality_tp_total",
-        "quality_fp_total",
-        "quality_fn_total",
-        "detection_iou",
-    }
-)
 
 
 @dataclass
@@ -166,24 +128,18 @@ class DriveOutcome:
 
 def deterministic_metrics(series: Iterable[Mapping]) -> list[dict]:
     """Drop wall-clock-derived and quality-plane series from a snapshot."""
-    return [
-        dict(s)
-        for s in series
-        if s.get("name") not in WALL_METRIC_NAMES
-        and s.get("name") not in QUALITY_METRIC_NAMES
-    ]
+    return [dict(s) for s in series if s.get("name") not in NONDETERMINISTIC_KEYS]
 
 
 def deterministic_outcome_dict(outcome: "DriveOutcome | Mapping[str, Any]") -> dict:
-    """An outcome dict with every wall-clock-derived field stripped.
+    """An outcome dict with every wall-clock and quality-plane field stripped.
 
     What remains is a pure function of the spec: two executions of the
     same spec — different workers, different runs, different machines —
     produce equal deterministic dicts.  The fleet determinism tests
     compare exactly this.
     """
-    data = outcome.to_dict() if isinstance(outcome, DriveOutcome) else dict(outcome)
-    for key in WALL_OUTCOME_FIELDS + QUALITY_OUTCOME_FIELDS:
-        data.pop(key, None)
+    full = outcome.to_dict() if isinstance(outcome, DriveOutcome) else outcome
+    data = {k: v for k, v in full.items() if k not in NONDETERMINISTIC_KEYS}
     data["metrics"] = deterministic_metrics(data.get("metrics", []))
     return data

@@ -6,8 +6,10 @@ per-frame wall-latency histogram with p50/p90/p99, harvested incident
 paths, and the full outcome list — all under a schema-versioned envelope
 (``FLEET_SCHEMA`` / ``FLEET_SCHEMA_VERSION``) written as ``FLEET_*.json``.
 
-Wall-clock-derived sections are segregated under the keys in
-:data:`WALL_ROLLUP_KEYS` so :func:`deterministic_view` can strip them:
+Wall-clock- and scheduling-derived sections (``latency_ms``, ``wall``,
+``config``, ``events_by_kind``) and the quality-plane section sit under
+names in :data:`repro.core.spec.NONDETERMINISTIC_KEYS`, so
+:func:`deterministic_view` can strip them:
 what remains is a pure function of the spec list, byte-identical between
 a sharded run and the sequential inline reference run (the acceptance
 test of this subsystem).
@@ -19,6 +21,7 @@ import json
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
+from repro.core.spec import NONDETERMINISTIC_KEYS
 from repro.errors import FleetError
 from repro.fleet.events import FLEET_EVENT_KINDS
 from repro.fleet.outcome import (
@@ -34,18 +37,6 @@ FLEET_SCHEMA = "repro.fleet/rollup"
 # v2: the required "quality" section (merged per-condition detection
 # quality from scored drives; scored_drives == 0 for unscored fleets).
 FLEET_SCHEMA_VERSION = 2
-
-#: Top-level rollup keys whose values depend on wall clocks or scheduling
-#: (stripped by :func:`deterministic_view`, together with ``config`` and
-#: ``events_by_kind`` which encode *how* the fleet ran, not what it
-#: computed).
-WALL_ROLLUP_KEYS = ("latency_ms", "wall")
-
-#: Top-level rollup keys that exist only when the quality plane is on
-#: (stripped by :func:`deterministic_view` so a scored fleet's view
-#: byte-matches an unscored one's; sharded-vs-inline quality equality is
-#: asserted separately on the full rollup).
-QUALITY_ROLLUP_KEYS = ("quality",)
 
 #: Keys every rollup must carry (validation contract).
 REQUIRED_ROLLUP_KEYS = (
@@ -208,13 +199,7 @@ def deterministic_view(rollup: Mapping) -> dict:
     or wall speeds — produce equal deterministic views.  The fleet
     determinism tests compare exactly this (sharded vs inline).
     """
-    view = {
-        key: value
-        for key, value in rollup.items()
-        if key not in WALL_ROLLUP_KEYS
-        and key not in QUALITY_ROLLUP_KEYS
-        and key not in ("config", "events_by_kind")
-    }
+    view = {k: v for k, v in rollup.items() if k not in NONDETERMINISTIC_KEYS}
     view["outcomes"] = [
         deterministic_outcome_dict(o) for o in rollup.get("outcomes", [])
     ]

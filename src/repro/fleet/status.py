@@ -13,10 +13,11 @@ Every timestamp the board judges against is the *scheduler's* clock at
 record arrival — a worker cannot vouch for its own liveness with a
 self-reported time.  And everything here is wall-clock territory: the
 status plane observes the execution, never the simulation, so none of
-these values may reach a deterministic sink.  :data:`WALL_STATUS_KEYS`
-declares the field names involved; the determinism-taint lint rule
-treats them as laundering keys, the same way it treats the outcome and
-rollup wall fields.
+these values may reach a deterministic sink.  The field names involved
+(``elapsed_s``, ``heartbeat_age_s``, ``drive_age_s``, ``drives_per_s``,
+``beats``, ...) are declared in :data:`repro.core.spec.WALL_KEYS`: the
+deterministic views strip them and the determinism-taint lint rule
+launders them, the same as the outcome and rollup wall fields.
 """
 
 from __future__ import annotations
@@ -41,23 +42,6 @@ STATUS_PHASES = ("running", "done")
 #: worker's own progress records; ``suspect``/``hung`` are the liveness
 #: machine's escalation when a *running* worker's heartbeats go quiet.
 WORKER_STATES = ("idle", "running", "suspect", "hung")
-
-#: Status-plane field names carrying wall-clock / scheduling values.
-#: The determinism-taint rule launders these exactly like the outcome and
-#: rollup ``WALL_*`` sets: a value under one of these names is declared
-#: wall-valued and must never flow into a deterministic sink unstripped.
-WALL_STATUS_KEYS = frozenset(
-    {
-        "elapsed_s",
-        "heartbeat_age_s",
-        "last_heartbeat_age_s",
-        "drive_age_s",
-        "drives_per_s",
-        "hang_verdict",
-        "beats",
-        "wall_s",
-    }
-)
 
 #: Default window for the rolling drives/s rate.
 DEFAULT_RATE_WINDOW_S = 10.0

@@ -4,8 +4,7 @@ Mirrors :data:`repro.zynq.events.EVENT_KINDS`: every typed event the
 runtime monitor emits (through :meth:`Monitor.emit_event`) must use a kind
 from this set, so timeline renderers, the incident analyzer, and the
 acceptance tests can rely on the names being exhaustive.  The
-``monitor-event-vocabulary`` lint rule enforces the same contract
-statically.
+``event-vocabulary`` lint rule enforces the same contract statically.
 """
 
 from __future__ import annotations

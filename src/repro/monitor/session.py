@@ -504,7 +504,7 @@ class Monitor:
         """One typed monitor event; ``kind`` must be in the declared vocabulary.
 
         Mirrors ``Trace.emit``: runtime validation here, static validation by
-        the ``monitor-event-vocabulary`` lint rule.
+        the ``event-vocabulary`` lint rule.
         """
         if kind not in MONITOR_EVENT_KINDS:
             raise MonitoringError(

@@ -16,9 +16,9 @@ the floor is an *improvement*, and the gate ratchets by re-writing the
 baseline — mirroring ``repro bench --compare`` and the lint baseline.
 
 The one wall-valued field (``suite_wall_s``, how long the suite took to
-score) is segregated under :data:`WALL_QUALITY_KEYS`, which the
-determinism-taint lint rule folds into its laundering list exactly like
-the fleet's ``WALL_*`` sets.
+score) is declared in :data:`repro.core.spec.WALL_KEYS`, so the
+determinism-taint lint rule launders it exactly like the fleet's wall
+fields.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from repro.core.spec import DriveSpec
 from repro.errors import QualityError
@@ -36,10 +36,6 @@ from repro.rng import derive_seed
 
 QUALITY_SCHEMA = "repro.quality/baseline"
 QUALITY_SCHEMA_VERSION = 1
-
-#: Snapshot keys carrying wall-clock values (stripped from every
-#: byte-compared artefact; laundering keys for the determinism-taint rule).
-WALL_QUALITY_KEYS = frozenset({"suite_wall_s"})
 
 #: Absolute recall/precision drop tolerated before a drive regresses.
 #: The suite is fully deterministic, so the floor only absorbs *intended*
@@ -364,8 +360,3 @@ def render_report(drives: Mapping[str, Mapping], suite: Mapping | None = None) -
             f"{summary.get('mismatched_frames', 0)} mismatched)"
         )
     return "\n".join(lines)
-
-
-def summaries_of(drives: Iterable[Mapping]) -> list[dict]:
-    """Convenience: plain-dict copies of an iterable of summaries."""
-    return [dict(d) for d in drives]

@@ -6,7 +6,7 @@ quality plane emits (through
 :meth:`~repro.quality.observer.ModelQualityObserver.quality_event` or the
 baseline tooling) must use a kind from this set, so quality-report
 readers and the acceptance tests can rely on the names being exhaustive.
-The ``quality-event-vocabulary`` lint rule enforces the same contract
+The ``event-vocabulary`` lint rule enforces the same contract
 statically; :func:`check_quality_event_kind` enforces it at runtime.
 """
 
@@ -44,8 +44,8 @@ def quality_event(kind: str, **attrs) -> dict:
     The free-function twin of
     :meth:`~repro.quality.observer.ModelQualityObserver.quality_event`,
     used by the baseline tooling for events that outlive any single
-    observer.  The ``quality-event-vocabulary`` lint rule checks both
-    call forms statically.
+    observer.  The ``event-vocabulary`` lint rule checks both call forms
+    statically.
     """
     check_quality_event_kind(kind)
     return {"kind": kind, **attrs}

@@ -359,7 +359,7 @@ class ModelQualityObserver:
         """One typed quality event; ``kind`` must be in the declared vocabulary.
 
         Mirrors ``Trace.emit`` / ``Monitor.emit_event``: runtime validation
-        here, static validation by the ``quality-event-vocabulary`` lint rule.
+        here, static validation by the ``event-vocabulary`` lint rule.
         """
         check_quality_event_kind(kind)
         self.events.append({"kind": kind, **attrs})

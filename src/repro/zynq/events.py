@@ -137,9 +137,10 @@ class TraceRecord:
 
 
 #: The declared vocabulary of typed trace events.  ``Trace.emit`` rejects
-#: kinds outside this set and the ``event-vocabulary`` lint rule enforces
-#: it statically, so every consumer (summaries, exporter filters,
-#: acceptance tests) can rely on the names below being exhaustive.
+#: kinds outside this set and the ``event-vocabulary`` lint rule (through
+#: ``LintConfig.event_vocabularies``) enforces it statically, so every
+#: consumer (summaries, exporter filters, acceptance tests) can rely on the
+#: names below being exhaustive.
 EVENT_KINDS: frozenset[str] = frozenset(
     {
         "dma.start",

@@ -2,6 +2,7 @@
 shape, suppression comments, and rule listing."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -121,6 +122,12 @@ class TestFlags:
         for rule_id in ("taint-deterministic-sink", "fork-queue-timeout",
                         "import-cycle", "suppression-hygiene"):
             assert f"`{rule_id}`" in out
+
+    def test_analysis_md_embeds_the_current_catalog(self, capsys):
+        assert main(["lint", "--rules"]) == 0
+        catalog = capsys.readouterr().out.strip()
+        doc = (Path(__file__).resolve().parents[2] / "ANALYSIS.md").read_text()
+        assert catalog in doc, "regenerate ANALYSIS.md's rule catalog with `repro lint --rules`"
 
     def test_jobs_matches_serial_output(self, tmp_path, capsys):
         write_tree(tmp_path, DIRTY)

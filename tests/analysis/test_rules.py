@@ -116,21 +116,72 @@ class TestSpanContext:
 
 
 class TestEventVocabulary:
+    """The ``event-vocabulary`` cases, run once per emitter in
+    ``LintConfig.event_vocabularies``: this class checks ``Trace.emit``
+    and each subclass re-runs every case on one more emitter."""
+
+    EMITTER = "emit"
+    CALL = "trace.emit(0.0, 'pr', {kind}, message='reconfigure done')\n"
+    DECLARED = ("pr.done",)
+    UNKNOWN = "soc.mystery"
+
+    def call(self, kind: str) -> str:
+        return self.CALL.format(kind=kind)
+
     def test_fires_on_unknown_kind(self):
-        src = "trace.emit(0.0, 'soc', 'soc.mystery', 'what')\n"
+        src = self.call(repr(self.UNKNOWN))
         assert only(src, "event-vocabulary") == ["event-vocabulary"]
 
     def test_fires_on_non_literal_kind(self):
-        src = "trace.emit(0.0, 'soc', kind_var, 'msg')\n"
-        assert only(src, "event-vocabulary") == ["event-vocabulary"]
+        assert only(self.call("kind_var"), "event-vocabulary") == ["event-vocabulary"]
 
-    def test_quiet_on_declared_kind(self):
-        src = "trace.emit(0.0, 'pr', 'pr.done', 'reconfigure done')\n"
+    def test_quiet_on_declared_kinds(self):
+        src = "".join(self.call(repr(kind)) for kind in self.DECLARED)
         assert only(src, "event-vocabulary") == []
 
-    def test_keyword_kind_checked(self):
-        src = "trace.emit(0.0, 'pr', kind='pr.bogus', message='x')\n"
+    def test_kind_keyword_is_checked_too(self):
+        for kind in self.DECLARED:
+            assert only(self.call(f"kind={kind!r}"), "event-vocabulary") == []
+        src = self.call(f"kind={self.UNKNOWN!r}")
         assert only(src, "event-vocabulary") == ["event-vocabulary"]
+
+    def test_applies_outside_sim_domains(self):
+        src = self.call(repr(self.UNKNOWN))
+        assert only(src, "event-vocabulary", module=NON_SIM_MODULE) == ["event-vocabulary"]
+
+
+class TestMonitorEventVocabulary(TestEventVocabulary):
+    EMITTER = "emit_event"
+    CALL = "monitor.emit_event({kind}, time_s=1.0)\n"
+    DECLARED = ("monitor.trigger", "monitor.incident", "slo.violation", "health.transition")
+    UNKNOWN = "monitor.bogus"
+
+
+class TestFleetEventVocabulary(TestEventVocabulary):
+    EMITTER = "fleet_event"
+    CALL = "scheduler.fleet_event({kind}, drives=4)\n"
+    DECLARED = (
+        "fleet.run.start",
+        "fleet.submit",
+        "fleet.worker.crash",
+        "fleet.rollup.write",
+        "fleet.reject",
+    )
+    UNKNOWN = "fleet.party"
+
+
+class TestQualityEventVocabulary(TestEventVocabulary):
+    EMITTER = "quality_event"
+    CALL = "observer.quality_event({kind}, trace='sunset')\n"
+    DECLARED = ("quality.drive.start", "quality.compare")
+    UNKNOWN = "quality.party"
+
+
+def test_every_emitter_has_vocabulary_cases():
+    from repro.analysis import DEFAULT_CONFIG
+
+    cases = [TestEventVocabulary, *TestEventVocabulary.__subclasses__()]
+    assert sorted(c.EMITTER for c in cases) == sorted(DEFAULT_CONFIG.event_vocabularies)
 
 
 class TestSwallowedError:
@@ -337,37 +388,6 @@ class TestBenchRegistry:
         assert only(src, "bench-registry", module=NON_SIM_MODULE) == []
 
 
-class TestMonitorEventVocabulary:
-    def test_fires_on_unknown_kind(self):
-        src = "monitor.emit_event('monitor.bogus', 1.0)\n"
-        assert only(src, "monitor-event-vocabulary") == ["monitor-event-vocabulary"]
-
-    def test_quiet_on_declared_kinds(self):
-        src = (
-            "monitor.emit_event('monitor.trigger', 1.0, trigger='fault')\n"
-            "monitor.emit_event('monitor.incident', 2.0)\n"
-            "monitor.emit_event('slo.violation', 3.0, slo='frame-deadline')\n"
-            "monitor.emit_event('health.transition', 4.0)\n"
-        )
-        assert only(src, "monitor-event-vocabulary") == []
-
-    def test_fires_on_non_literal_kind(self):
-        src = "monitor.emit_event(kind_var, 1.0)\n"
-        assert only(src, "monitor-event-vocabulary") == ["monitor-event-vocabulary"]
-
-    def test_kind_keyword_is_checked_too(self):
-        assert only("m.emit_event(kind='slo.violation', time_s=0.0)\n",
-                    "monitor-event-vocabulary") == []
-        assert only("m.emit_event(kind='slo.nope', time_s=0.0)\n",
-                    "monitor-event-vocabulary") == ["monitor-event-vocabulary"]
-
-    def test_applies_outside_sim_domains(self):
-        src = "monitor.emit_event('monitor.bogus', 1.0)\n"
-        assert only(src, "monitor-event-vocabulary", module=NON_SIM_MODULE) == [
-            "monitor-event-vocabulary"
-        ]
-
-
 class TestBatchedHotPath:
     PIPELINE = "repro.pipelines.fake"
 
@@ -434,36 +454,3 @@ class TestBatchedHotPath:
             "    return model.decision_values(w)\n"
         )
         assert only(src, "batched-hot-path", module=self.PIPELINE) == []
-
-
-class TestFleetEventVocabulary:
-    def test_fires_on_unknown_kind(self):
-        src = "scheduler.fleet_event('fleet.party')\n"
-        assert only(src, "fleet-event-vocabulary") == ["fleet-event-vocabulary"]
-
-    def test_quiet_on_declared_kinds(self):
-        src = (
-            "scheduler.fleet_event('fleet.run.start', drives=4)\n"
-            "scheduler.fleet_event('fleet.submit', index=0)\n"
-            "scheduler.fleet_event('fleet.worker.crash', worker=1)\n"
-            "scheduler.fleet_event('fleet.rollup.write')\n"
-        )
-        assert only(src, "fleet-event-vocabulary") == []
-
-    def test_fires_on_non_literal_kind(self):
-        src = "scheduler.fleet_event(kind_var)\n"
-        assert only(src, "fleet-event-vocabulary") == ["fleet-event-vocabulary"]
-
-    def test_kind_keyword_is_checked_too(self):
-        assert only("s.fleet_event(kind='fleet.reject')\n", "fleet-event-vocabulary") == []
-        assert only("s.fleet_event(kind='fleet.nope')\n", "fleet-event-vocabulary") == [
-            "fleet-event-vocabulary"
-        ]
-
-    def test_applies_outside_sim_domains(self):
-        # The fleet package itself is outside the sim fence; the
-        # vocabulary contract still holds everywhere.
-        src = "scheduler.fleet_event('fleet.party')\n"
-        assert only(src, "fleet-event-vocabulary", module=NON_SIM_MODULE) == [
-            "fleet-event-vocabulary"
-        ]

@@ -9,7 +9,10 @@ import pytest
 
 from repro.core.spec import (
     CHAOS_MODES,
+    NONDETERMINISTIC_KEYS,
+    PLANE_KEYS,
     TRACE_FACTORIES,
+    WALL_KEYS,
     DriveSpec,
     derive_drive_seed,
     frame_core_bytes,
@@ -154,3 +157,29 @@ class TestRunDriveSpec:
         spec = DriveSpec()
         with pytest.raises(dataclasses.FrozenInstanceError):
             spec.seed = 1  # type: ignore[misc]
+
+
+class TestNonDeterministicFields:
+    def test_registry_declares_the_strip_lists_it_replaced(self):
+        from repro.analysis.config import LintConfig
+
+        # The names of the eight per-module lists (and the inline
+        # scheduling pair) this registry replaced.
+        wall_outcome = {"latency_ms", "wall_s", "worker_id", "hang_verdict",
+                        "last_heartbeat_age_s"}
+        wall_metrics = {"frame_wall_ms", "stage_wall_ms", "frame_deadline_misses_total"}
+        wall_rollup = {"latency_ms", "wall"}
+        wall_status = {"elapsed_s", "heartbeat_age_s", "last_heartbeat_age_s",
+                       "drive_age_s", "drives_per_s", "hang_verdict", "beats", "wall_s"}
+        wall_quality = {"suite_wall_s"}
+        quality_outcome = quality_rollup = {"quality"}
+        quality_metrics = {"quality_frames_scored_total", "quality_tp_total",
+                           "quality_fp_total", "quality_fn_total", "detection_iou"}
+        scheduling = {"config", "events_by_kind"}
+        wall = wall_outcome | wall_metrics | wall_rollup | wall_status | wall_quality
+        plane = quality_outcome | quality_metrics | quality_rollup | scheduling
+        assert (len(wall), len(plane)) == (15, 8)
+        assert WALL_KEYS == wall
+        assert PLANE_KEYS == plane
+        assert NONDETERMINISTIC_KEYS == wall | plane
+        assert LintConfig().wall_strip_keys == WALL_KEYS

@@ -4,12 +4,12 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.spec import NONDETERMINISTIC_KEYS
 from repro.errors import FleetError
 from repro.fleet.outcome import DriveOutcome
 from repro.fleet.rollup import (
     FLEET_SCHEMA,
     FLEET_SCHEMA_VERSION,
-    WALL_ROLLUP_KEYS,
     build_rollup,
     deterministic_view,
     load_rollup,
@@ -130,8 +130,9 @@ class TestBuildRollup:
 class TestDeterministicView:
     def test_wall_and_scheduling_keys_are_stripped(self, rollup):
         view = deterministic_view(rollup)
-        for key in WALL_ROLLUP_KEYS + ("config", "events_by_kind"):
+        for key in ("latency_ms", "wall", "config", "events_by_kind"):
             assert key not in view
+        assert not set(view) & NONDETERMINISTIC_KEYS
         for outcome in view["outcomes"]:
             assert "wall_s" not in outcome
             assert "worker_id" not in outcome

@@ -9,12 +9,12 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.spec import WALL_KEYS
 from repro.errors import FleetError
 from repro.fleet.outcome import DriveOutcome
 from repro.fleet.status import (
     STATUS_SCHEMA,
     STATUS_SCHEMA_VERSION,
-    WALL_STATUS_KEYS,
     WORKER_STATES,
     StatusBoard,
     render_status,
@@ -245,9 +245,9 @@ class TestWallSegregation:
         # The taint rule launders exactly these names; the snapshot's
         # wall-valued fields must all be declared.
         for key in ("elapsed_s", "drives_per_s", "heartbeat_age_s", "drive_age_s"):
-            assert key in WALL_STATUS_KEYS
+            assert key in WALL_KEYS
 
     def test_lint_config_launders_status_keys(self):
         from repro.analysis.config import LintConfig
 
-        assert WALL_STATUS_KEYS <= LintConfig().wall_strip_keys
+        assert WALL_KEYS <= LintConfig().wall_strip_keys

@@ -6,11 +6,9 @@ import queue
 
 import pytest
 
-from repro.core.spec import DriveSpec
+from repro.core.spec import WALL_KEYS, DriveSpec
 from repro.errors import FleetError
 from repro.fleet.outcome import (
-    WALL_METRIC_NAMES,
-    WALL_OUTCOME_FIELDS,
     DriveOutcome,
     deterministic_metrics,
     deterministic_outcome_dict,
@@ -164,10 +162,10 @@ class TestOutcomeWire:
 
     def test_deterministic_dict_strips_wall_fields(self, ok_outcome):
         data = deterministic_outcome_dict(ok_outcome)
-        for field in WALL_OUTCOME_FIELDS:
+        for field in ("latency_ms", "wall_s", "worker_id", "hang_verdict", "last_heartbeat_age_s"):
             assert field not in data
         names = {s["name"] for s in data["metrics"]}
-        assert not names & WALL_METRIC_NAMES
+        assert not names & WALL_KEYS
         assert "drive_frames" in names
 
     def test_deterministic_metrics_filter(self):

@@ -35,7 +35,7 @@ class TestNullMonitor:
         assert NULL_MONITOR.enabled is False
         assert isinstance(NULL_MONITOR, NullMonitor)
         NULL_MONITOR.observe_frame(None, "day_dusk")
-        NULL_MONITOR.emit_event("anything-goes", 0.0)  # reprolint: skip=monitor-event-vocabulary
+        NULL_MONITOR.emit_event("anything-goes", 0.0)  # reprolint: skip=event-vocabulary
         NULL_MONITOR.finish_drive()
         assert NULL_MONITOR.summary() == {}
 
@@ -49,12 +49,12 @@ class TestEvents:
     def test_emit_event_rejects_unknown_kinds(self):
         monitor = Monitor()
         with pytest.raises(MonitoringError, match="vocabulary"):
-            monitor.emit_event("monitor.bogus", 0.0)  # reprolint: skip=monitor-event-vocabulary
+            monitor.emit_event("monitor.bogus", 0.0)  # reprolint: skip=event-vocabulary
 
     def test_every_declared_kind_is_accepted(self):
         monitor = Monitor()
         for kind in MONITOR_EVENT_KINDS:
-            monitor.emit_event(kind, 0.0)  # reprolint: skip=monitor-event-vocabulary
+            monitor.emit_event(kind, 0.0)  # reprolint: skip=event-vocabulary
         assert {e["kind"] for e in monitor.events} == set(MONITOR_EVENT_KINDS)
 
     def test_observe_frame_requires_begin_drive(self):

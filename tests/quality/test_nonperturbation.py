@@ -12,10 +12,9 @@ import json
 
 import pytest
 
-from repro.core.spec import DriveSpec, frames_digest
+from repro.core.spec import PLANE_KEYS, DriveSpec, frames_digest
 from repro.core.system import run_drive_spec
 from repro.fleet.outcome import (
-    QUALITY_METRIC_NAMES,
     DriveOutcome,
     deterministic_metrics,
     deterministic_outcome_dict,
@@ -56,7 +55,7 @@ class TestDriveLevel:
             series["name"]
             for series in deterministic_metrics(telemetry.metrics.snapshot())
         }
-        assert not (kept & QUALITY_METRIC_NAMES)
+        assert not (kept & PLANE_KEYS)
 
 
 class TestFleetLevel:
