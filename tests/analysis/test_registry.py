@@ -7,7 +7,10 @@ summary and a docstring, and must have at least one true-positive
 inputs: a fixture is a ``.py`` file (or a directory of files, for
 cross-module rules) whose first line declares its module name via
 ``# module: <dotted.name>``; every ``tp`` must fire the rule and every
-``tn`` must not.
+``tn`` must not.  The ``event-vocabulary`` rule reads a table of
+emitters, so each table row also needs its own ``tp_<label>_*`` and
+``tn_<label>_*`` fixtures, checked as the ``<label>-event-vocabulary``
+case.
 """
 
 import re
@@ -45,6 +48,25 @@ def run_fixture(rule_id: str, path: Path) -> list[Violation]:
     return found
 
 
+#: Fixture label of each ``LintConfig.event_vocabularies`` emitter.
+EMITTER_FIXTURE_LABELS = {
+    "emit": "trace",
+    "emit_event": "monitor",
+    "fleet_event": "fleet",
+    "quality_event": "quality",
+}
+
+
+def coverage_cases() -> list:
+    """One case per rule, plus one per event-vocabulary emitter."""
+    rules = all_rules()
+    vocabulary = next(rule for rule in rules if rule.id == "event-vocabulary")
+    return [pytest.param(rule, "", id=rule.id) for rule in rules] + [
+        pytest.param(vocabulary, f"{label}_", id=f"{label}-event-vocabulary")
+        for label in EMITTER_FIXTURE_LABELS.values()
+    ]
+
+
 def fixture_cases(rule_id: str, prefix: str) -> list[Path]:
     rule_dir = FIXTURES / rule_id
     if not rule_dir.is_dir():
@@ -67,10 +89,10 @@ def test_every_rule_documented():
         )
 
 
-@pytest.mark.parametrize("rule", all_rules(), ids=lambda r: r.id)
-def test_rule_fixture_coverage(rule):
-    positives = fixture_cases(rule.id, "tp_")
-    negatives = fixture_cases(rule.id, "tn_")
+@pytest.mark.parametrize("rule, label", coverage_cases())
+def test_rule_fixture_coverage(rule, label):
+    positives = fixture_cases(rule.id, "tp_" + label)
+    negatives = fixture_cases(rule.id, "tn_" + label)
     assert positives, f"{rule.id} has no true-positive fixture"
     assert negatives, f"{rule.id} has no true-negative fixture"
     for case in positives:
@@ -81,6 +103,10 @@ def test_rule_fixture_coverage(rule):
             f"{case} unexpectedly fires {rule.id}: "
             f"{[v.render() for v in found]}"
         )
+
+
+def test_every_emitter_has_a_fixture_label():
+    assert sorted(EMITTER_FIXTURE_LABELS) == sorted(DEFAULT_CONFIG.event_vocabularies)
 
 
 def test_no_orphan_fixture_directories():
