@@ -135,11 +135,6 @@ def _suppressions_from_pragmas(pragmas: Iterable[Pragma]) -> _Suppressions:
     return sup
 
 
-def _parse_suppressions(source_lines: list[str]) -> _Suppressions:
-    """Back-compat helper used by older tests; prefers the token scan."""
-    return _suppressions_from_pragmas(scan_pragmas("\n".join(source_lines)))
-
-
 @dataclass
 class ModuleContext:
     """Everything a rule sees for one parsed file."""

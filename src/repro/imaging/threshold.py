@@ -40,10 +40,25 @@ def band_threshold(image: np.ndarray, low: float, high: float) -> np.ndarray:
 
 
 def histogram(image: np.ndarray, bins: int = 256, value_range: tuple[float, float] = (0.0, 1.0)) -> np.ndarray:
-    """Intensity histogram with ``bins`` equal-width bins over ``value_range``."""
+    """Intensity histogram with ``bins`` equal-width bins over ``value_range``.
+
+    Counts equal ``np.histogram``'s: values outside the range are dropped and
+    the top edge falls in the last bin.  Over [0, 1] with a power-of-two bin
+    count, a plane whose values all lie in [0, 1] is counted in one pass as
+    ``floor(a * bins)``: scaling by a power of two is exact and so is every
+    edge ``k / bins``, so the floor is the bin that ``np.histogram`` lands
+    on after its edge corrections, which take it ~15 passes.  Any other
+    range, bin count, or a plane holding NaN or a value outside [0, 1]
+    goes to ``np.histogram``.
+    """
     if bins < 2:
         raise ImageError(f"need at least 2 bins, got {bins}")
     arr = ensure_gray(image)
+    unit_pow2 = value_range == (0.0, 1.0) and bins & (bins - 1) == 0
+    if unit_pow2 and arr.min() >= 0.0 and arr.max() <= 1.0:  # a NaN fails both tests
+        counts = np.bincount((arr * bins).astype(np.intp).ravel(), minlength=bins + 1)
+        counts[bins - 1] += counts[bins]  # 1.0 scales to ``bins``: the last bin is closed
+        return counts[:bins].astype(np.int64, copy=False)
     counts, _ = np.histogram(arr, bins=bins, range=value_range)
     return counts.astype(np.int64)
 

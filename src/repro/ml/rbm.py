@@ -98,11 +98,6 @@ class Rbm:
         probs = self.hidden_probabilities(visible)
         return (self._rng.random(probs.shape) < probs).astype(np.float64)
 
-    def sample_visible(self, hidden: np.ndarray) -> np.ndarray:
-        """Bernoulli sample of the visible layer given hiddens."""
-        probs = self.visible_probabilities(hidden)
-        return (self._rng.random(probs.shape) < probs).astype(np.float64)
-
     def free_energy(self, visible: np.ndarray) -> np.ndarray:
         """F(v) = -v.b_v - sum_j softplus(v W_j + b_h_j); lower = more likely."""
         v = self._check_batch(visible, self.n_visible, "visible")

@@ -2,9 +2,10 @@
 
 The full pipeline, stage for stage:
 
-1. *Split channels* — RGB -> Y / Cb / Cr (BT.601).
+1. *Split channels* — RGB -> Y / Cr (BT.601); Cb is never read.
 2. *Threshold* — luminance threshold (light sources) AND chrominance
-   threshold (red sources), merged into one binary mask.  "Instead of
+   threshold (red sources), merged into one binary mask.  Cr is computed
+   only at the pixels that pass the luminance threshold.  "Instead of
    relying only on the luminance information, we consider both the
    chrominance and luminance channels during the threshold stage."
 3. *Downsample* — 3x area decimation (1920x1080 -> 640x360 in the paper).
@@ -27,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.errors import PipelineError
-from repro.imaging.color import split_channels
+from repro.imaging.color import luminance, red_difference
 from repro.imaging.components import blob_statistics, label_components
 from repro.imaging.geometry import Rect
 from repro.imaging.image import ensure_rgb
@@ -174,20 +175,30 @@ class DarkVehicleDetector:
     # Stages (Fig. 4) ----------------------------------------------------------
 
     def preprocess(self, frame: np.ndarray, trace: DarkStageTrace | None = None) -> np.ndarray:
-        """Stages 1-4: split, threshold, merge, downsample, closing."""
+        """Stages 1-4: split, threshold, merge, downsample, closing.
+
+        Only what the merged mask reads is computed: the Y plane, and Cr at
+        just the pixels the luma test keeps (about 1% of a night frame).
+        Cb is never computed.  Passing a ``trace`` also computes the
+        full-frame Cr plane, to fill ``trace.chroma_mask``; the masks are
+        the same either way.
+        """
         rgb = ensure_rgb(frame, "frame")
         cfg = self.config
-        luma, _cb, cr = split_channels(rgb)
+        luma = luminance(rgb)
         threshold = cfg.luma_threshold
         if threshold is None:
             threshold = otsu_threshold(luma) + cfg.luma_margin
         luma_mask = binary_threshold(luma, threshold)
+        chroma_mask = None
+        merged = luma_mask
         if cfg.use_chroma:
-            chroma_mask = binary_threshold(cr, cfg.cr_threshold)
-            merged = luma_mask & chroma_mask
-        else:
-            chroma_mask = None
-            merged = luma_mask
+            lit = np.flatnonzero(luma_mask)
+            red = red_difference(rgb.reshape(-1, 3)[lit, 0], luma.ravel()[lit]) > cfg.cr_threshold
+            merged = luma_mask.copy()
+            np.put(merged, lit, red)
+            if trace is not None:
+                chroma_mask = binary_threshold(red_difference(rgb[..., 0], luma), cfg.cr_threshold)
         factor = self._effective_factor(rgb.shape[0], rgb.shape[1])
         small = downsample_binary(merged, factor, vote=cfg.downsample_vote) if factor > 1 else merged
         processed = closing(small, square_element(cfg.closing_size))

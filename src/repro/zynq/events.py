@@ -65,10 +65,6 @@ class Simulator:
         heapq.heappush(self._queue, event)
         return EventHandle(event)
 
-    def schedule_at(self, time: float, callback: Callable[[], None]) -> EventHandle:
-        """Schedule at an absolute time (>= now)."""
-        return self.schedule(time - self.now, callback)
-
     @property
     def pending(self) -> int:
         """Scheduled, not-yet-fired, not-cancelled events."""

@@ -1,10 +1,13 @@
 """Differential tests for the dark pipeline's front end (paper Fig. 4).
 
-The split, decimate and DBN-occupancy stages are pinned bit for bit against
-oracles kept here in their straightforward form: ``rgb_to_ycbcr`` stacked
-into an interleaved image and sliced back into planes, the binary decimator
-as a float tile mean, and the occupied-window test as ``.any`` over a full
-flat copy of every 9x9 window.  Split planes, ``preprocess`` masks and
+The split, threshold, decimate and DBN-occupancy stages are pinned bit for
+bit against oracles kept here in their straightforward form: ``rgb_to_ycbcr``
+stacked into an interleaved image and sliced back into planes, Otsu over
+``np.histogram`` counts, full-plane luma and chroma masks ANDed, the binary
+decimator as a float tile mean, and the occupied-window test as ``.any``
+over a full flat copy of every 9x9 window.  The oracle calls none of the
+production split, histogram or Otsu code, so a wrong count cannot pass
+into it.  Split planes, ``preprocess`` masks and
 ``dbn_grid`` class grids must equal the oracle pipeline's byte for byte, on
 rendered night frames and on edge-case masks.
 """
@@ -22,7 +25,6 @@ from repro.datasets.scene import SceneConfig, render_scene
 from repro.imaging.color import rgb_to_ycbcr, split_channels
 from repro.imaging.morphology import closing, square_element
 from repro.imaging.resize import downsample_area, downsample_binary
-from repro.imaging.threshold import binary_threshold, otsu_threshold
 from repro.pipelines import dark
 from repro.pipelines.dark import DBN_STRIDE, DBN_WINDOW, DarkVehicleDetector
 
@@ -43,23 +45,54 @@ def oracle_split(rgb: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return ycbcr[..., 0], ycbcr[..., 1], ycbcr[..., 2]
 
 
+def oracle_otsu(plane: np.ndarray, bins: int = 256) -> float:
+    """Otsu's threshold over [0, 1] from ``np.histogram`` counts."""
+    counts = np.histogram(plane, bins=bins, range=(0.0, 1.0))[0].astype(np.float64)
+    total = counts.sum()
+    centers = (np.arange(bins) + 0.5) / bins
+    weight_bg = np.cumsum(counts)
+    weight_fg = total - weight_bg
+    cum_mean = np.cumsum(counts * centers)
+    grand_mean = cum_mean[-1]
+    valid = (weight_bg > 0) & (weight_fg > 0)
+    if not np.any(valid):
+        return 0.5
+    mean_bg = np.where(valid, cum_mean / np.maximum(weight_bg, 1e-12), 0.0)
+    mean_fg = np.where(valid, (grand_mean - cum_mean) / np.maximum(weight_fg, 1e-12), 0.0)
+    between = weight_bg * weight_fg * (mean_bg - mean_fg) ** 2
+    between[~valid] = -1.0
+    peak = between.max()
+    plateau = np.flatnonzero(between >= peak - 1e-12 * max(peak, 1.0))
+    best = int(round(plateau.mean()))
+    return float((best + 1) * (1.0 / bins))
+
+
 def oracle_downsample(mask: np.ndarray, factor: int, vote: float) -> np.ndarray:
     return downsample_area(np.asarray(mask).astype(np.float64), factor) >= vote
 
 
-def oracle_preprocess(detector: DarkVehicleDetector, rgb: np.ndarray) -> np.ndarray:
+def oracle_masks(detector: DarkVehicleDetector, rgb: np.ndarray) -> dict[str, np.ndarray | None]:
+    """Every mask ``preprocess`` records in a ``DarkStageTrace``, from full planes."""
     cfg = detector.config
     luma, _cb, cr = oracle_split(rgb)
     threshold = cfg.luma_threshold
     if threshold is None:
-        threshold = otsu_threshold(luma) + cfg.luma_margin
-    merged = binary_threshold(luma, threshold)
-    if cfg.use_chroma:
-        merged = merged & binary_threshold(cr, cfg.cr_threshold)
+        threshold = oracle_otsu(luma) + cfg.luma_margin
+    luma_mask = luma > threshold
+    chroma_mask = cr > cfg.cr_threshold if cfg.use_chroma else None
+    merged = luma_mask & chroma_mask if chroma_mask is not None else luma_mask
     factor = detector._effective_factor(rgb.shape[0], rgb.shape[1])
-    if factor > 1:
-        merged = oracle_downsample(merged, factor, cfg.downsample_vote)
-    return closing(merged, square_element(cfg.closing_size))
+    small = oracle_downsample(merged, factor, cfg.downsample_vote) if factor > 1 else merged
+    return {
+        "luma_mask": luma_mask,
+        "chroma_mask": chroma_mask,
+        "merged_mask": merged,
+        "processed_mask": closing(small, square_element(cfg.closing_size)),
+    }
+
+
+def oracle_preprocess(detector: DarkVehicleDetector, rgb: np.ndarray) -> np.ndarray:
+    return oracle_masks(detector, rgb)["processed_mask"]
 
 
 def oracle_dbn_grid(detector: DarkVehicleDetector, mask: np.ndarray) -> np.ndarray:

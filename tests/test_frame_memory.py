@@ -1,5 +1,6 @@
 """Per-frame memory guard: a HOG+SVM scan allocates band- and level-sized
-temporaries, never a frame-sized window feature matrix.
+temporaries, never a frame-sized window feature matrix, and the dark front
+end allocates no plane that its merged mask does not read.
 
 The scans gather and score only the windows a margin bound cannot reject,
 and the gradient/histogram front end runs in bands of a few cell rows.
@@ -7,6 +8,11 @@ The ``tracemalloc`` peak of one call on a 360x640 frame is ~7.2 MB for a
 four-level ``detect_multiscale`` and ~4.3 MB for ``PedestrianDetector.detect``.
 Gathering every window's descriptor and running the front end over whole
 planes took them to ~21 MB and ~15 MB.
+
+``DarkVehicleDetector.detect`` on a 360x640 night frame peaks at 5.53 MB:
+the Y plane plus the one-pass histogram's two index-sized temporaries.
+Splitting all three Y/Cb/Cr planes and thresholding Cr over the whole
+frame peaked at 7.83 MB.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ import tracemalloc
 
 import pytest
 
-from repro.datasets.lighting import LightingCondition, lighting_for_condition
+from repro.datasets.lighting import DARK_LIGHTING, LightingCondition, lighting_for_condition
 from repro.datasets.scene import SceneConfig, render_scene
 from repro.datasets.synthetic import make_pedestrian_frames
 from repro.pipelines.day_dusk import DayDuskConfig, HogSvmVehicleDetector
@@ -24,6 +30,7 @@ from repro.pipelines.pedestrian import PedestrianDetector
 #: tracemalloc peak bounds for one call, in MB.
 MULTISCALE_MAX_MB = 12.0
 PEDESTRIAN_MAX_MB = 8.0
+DARK_MAX_MB = 7.0
 
 
 @pytest.fixture(scope="module")
@@ -61,3 +68,12 @@ def test_pedestrian_scan_peak_memory(frame):
     )
     peak = peak_mb(lambda: detector.detect(frame))
     assert peak < PEDESTRIAN_MAX_MB, f"pedestrian detect peaked at {peak:.1f} MB"
+
+
+def test_dark_detect_peak_memory(dark_detector):
+    config = SceneConfig(
+        height=360, width=640, n_vehicles=3, n_oncoming=2, vehicle_fill=(0.057, 0.088), seed=5
+    )
+    night = render_scene(config, DARK_LIGHTING).rgb
+    peak = peak_mb(lambda: dark_detector.detect(night))
+    assert peak < DARK_MAX_MB, f"dark detect peaked at {peak:.1f} MB"
