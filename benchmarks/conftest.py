@@ -14,8 +14,6 @@ about half a minute); smaller values shrink every corpus proportionally.
 
 from __future__ import annotations
 
-from pathlib import Path
-
 import pytest
 
 from repro.telemetry.metrics import MetricsRegistry, Stopwatch
@@ -26,10 +24,6 @@ BENCH_METRICS = MetricsRegistry()
 
 #: Rendered measured-vs-paper reports collected by the report_sink fixture.
 _ARTEFACT_REPORTS: list[str] = []
-
-#: Where the session snapshot lands: the repository root, next to the
-#: BENCH_*.json trajectory that ``python -m repro bench`` writes.
-BENCH_SNAPSHOT_PATH = Path(__file__).resolve().parent.parent / "BENCH_artefacts.json"
 
 
 def pytest_addoption(parser):
@@ -85,26 +79,3 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.write_line(
             f"  {series['name']}{label_text}: {series.get('value', 0.0):g}"
         )
-    path = _flush_bench_snapshot()
-    terminalreporter.write_line(f"benchmark snapshot -> {path}")
-
-
-def _flush_bench_snapshot():
-    """Write the session's paper-artefact costs to ``BENCH_artefacts.json``.
-
-    Uses the same schema-versioned writer as ``python -m repro bench``, so
-    the pytest-benchmark flow feeds the same BENCH_* trajectory: the
-    ``metrics`` section carries every ``bench_wall_s`` gauge, and the
-    rendered measured-vs-paper reports ride along under
-    ``artefact_reports``.
-    """
-    from repro.perf.baseline import build_snapshot, write_snapshot
-
-    doc = build_snapshot(
-        results=[],
-        label="artefacts",
-        metrics=BENCH_METRICS.snapshot(),
-        extra={"artefact_reports": list(_ARTEFACT_REPORTS)},
-    )
-    write_snapshot(str(BENCH_SNAPSHOT_PATH), doc)
-    return BENCH_SNAPSHOT_PATH

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
-# The one-command local CI gate: style, types, project invariants, tests.
+# The one-command local CI gate: style, types, project invariants, tests,
+# and the paired benchmark gate.
 #
 #   ./scripts/check.sh          # everything
-#   ./scripts/check.sh --fast   # skip the (slow) full pytest tier
+#   ./scripts/check.sh --fast   # skip the (slow) full pytest tier and benchmark pairs
 #
 # ruff and mypy come from the optional `lint` extra (pip install -e .[lint]);
 # when they are not installed the gate reports and skips them rather than
@@ -33,20 +34,23 @@ echo "== repro lint (whole-program pass, gated on LINT_BASELINE.json; SARIF arti
 PYTHONPATH=src python -m repro lint src --jobs 4 \
     --compare-baseline LINT_BASELINE.json --sarif-out lint.sarif || status=1
 
-echo "== repro bench --smoke (perf harness sanity; no snapshot written)"
-PYTHONPATH=src python -m repro bench --smoke >/dev/null || status=1
+echo "== python3 -m bench --quick (benchmark smoke: every workload runs and checks its outputs)"
+python3 -m bench --quick >/dev/null || status=1
 
 if [[ $fast -eq 0 ]]; then
-    echo "== repro bench --compare BENCH_repro.json (regression gate vs committed baseline)"
-    # --threshold 0.5: the baseline was measured on a different (shared)
-    # box; between-run load drift here is routinely +/-30%, which the
-    # within-run MAD noise floor cannot see (PERF.md, "Baselines and the
-    # regression gate").  The gate exists to catch structural slowdowns,
-    # not scheduling jitter.  An un-batched window scan is caught
-    # deterministically by tests/equivalence/test_scan_pruning.py::TestStaysBatched.
-    PYTHONPATH=src python -m repro bench --compare BENCH_repro.json --threshold 0.5 || status=1
+    echo "== scripts/bench_ab.sh (paired benchmark runs vs the merge base with main)"
+    # Both sides run on this box in alternation, so machine load hits both
+    # alike.  Fails when a workload's p50/p90 latency, throughput or set-up
+    # time is worse than at the merge base by more than its BENCHMARK.json
+    # bound (20-25%), or its peak RSS by more than 5%: e.g. the HOG
+    # gradient computed twice per frame, or a copy of the event queue per
+    # simulator event.  A smaller slowdown, or a 1.5x one confined to a
+    # single layer, passes (PERF.md, "The regression gate").  An un-batched
+    # window scan is caught deterministically by
+    # tests/equivalence/test_scan_pruning.py::TestStaysBatched.
+    ./scripts/bench_ab.sh "$(git merge-base HEAD main)" || status=1
 else
-    echo "== bench compare: skipped (--fast)"
+    echo "== bench_ab.sh: skipped (--fast)"
 fi
 
 echo "== pytest -m equivalence (hot scans vs per-window test oracles; colour split, luma bands and threshold histogram vs plain formulas; byte for byte)"

@@ -1,4 +1,4 @@
-"""Ratcheting lint baseline, mirroring the ``BENCH_*.json`` gate.
+"""Ratcheting lint baseline, mirroring the ``QUALITY_BASELINE.json`` gate.
 
 A whole-program analyzer grows new rule families faster than legacy code
 can be cleaned up.  Rather than either silencing the new rules or

@@ -55,9 +55,6 @@ class LintConfig:
             and complete type annotations.
         span_exempt_modules: Modules implementing the span machinery
             itself (exempt from the context-manager rule).
-        bench_suite_packages: Packages holding ``@bench`` suites, held to
-            the bench-registry contract (registered, unit-suffixed,
-            clock-free).
         hot_path_packages: Packages whose sliding-window scans must score
             through the batched entry points; every per-window
             ``predict`` / ``decision`` call inside a loop is flagged there.
@@ -110,7 +107,6 @@ class LintConfig:
     )
     api_packages: tuple[str, ...] = ("repro.pipelines", "repro.zynq")
     span_exempt_modules: tuple[str, ...] = ("repro.telemetry",)
-    bench_suite_packages: tuple[str, ...] = ("repro.perf.suites",)
     hot_path_packages: tuple[str, ...] = ("repro.pipelines", "repro.core")
     deterministic_sinks: frozenset[str] = frozenset(
         {
@@ -174,13 +170,6 @@ class LintConfig:
     def is_rng_helper(self, module: str) -> bool:
         """True for the sanctioned raw-RNG module."""
         return module == self.rng_helper_module
-
-    def in_bench_suite(self, module: str) -> bool:
-        """True when ``module`` is an ``@bench`` suite module."""
-        return any(
-            module == pkg or module.startswith(pkg + ".")
-            for pkg in self.bench_suite_packages
-        )
 
     def in_hot_path(self, module: str) -> bool:
         """True when ``module`` must keep its window scans batched."""

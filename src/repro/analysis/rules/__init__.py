@@ -6,7 +6,6 @@ from repro.analysis.rules import (  # noqa: F401
     exports,
     forksafety,
     hotpath,
-    perf,
     pragma,
     robustness,
     taint,

@@ -8,7 +8,7 @@ the equivalence suite pins the hot path against live in
 ``for``/``while`` loop in a pipeline module is therefore a regression back
 to the slow shape — easy to introduce in review-sized diffs, invisible to
 the unit tests (the output is byte-identical either way), and only caught
-late by the bench gate.  This rule catches it at lint time, whatever the
+late by the benchmark.  This rule catches it at lint time, whatever the
 enclosing function is called.
 """
 

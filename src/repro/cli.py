@@ -18,7 +18,6 @@
     python -m repro fleet run|top|report|smoke ...               # see FLEET.md
     python -m repro quality report|compare ...                   # see QUALITY.md
     python -m repro lint [PATHS] [--format text|json] [--select R] [--ignore R]
-    python -m repro bench [--smoke] [--compare BASELINE] [--filter S]
     python -m repro all [--scale S]      # everything, in paper order
 """
 
@@ -216,7 +215,7 @@ def _telemetry(args) -> str:
         dump.meta = {**dump.meta, "span_window_s": window}
     report = render_report(dump.spans, dump.metrics, dump.meta)
     if args.top is not None:
-        from repro.perf import profile_dump
+        from repro.telemetry.profile import profile_dump
 
         report += "\n" + profile_dump(dump).render_top(args.top)
     return report
@@ -270,11 +269,6 @@ def main(argv: list[str] | None = None) -> int:
         from repro.analysis.cli import main as lint_main
 
         return lint_main(argv[1:])
-    if argv[:1] == ["bench"]:
-        # Same story for the benchmark harness (--smoke, --compare, ...).
-        from repro.perf.cli import main as bench_main
-
-        return bench_main(argv[1:])
     if argv[:1] == ["incident"]:
         # And for the incident-bundle tooling (list/show/report/replay/smoke).
         from repro.monitor.cli import main as incident_main
@@ -404,7 +398,6 @@ def main(argv: list[str] | None = None) -> int:
         for name in sorted(COMMANDS):
             print(f"  {name:<{width}}  {COMMANDS[name][1]}")
         print(f"  {'lint':<{width}}  reprolint static analysis over src/ (see ANALYSIS.md)")
-        print(f"  {'bench':<{width}}  statistical benchmarks + regression gate (see PERF.md)")
         print(f"  {'incident':<{width}}  flight-recorder bundles: list/report/replay (see MONITOR.md)")
         print(f"  {'fleet':<{width}}  many-vehicle drive service: run/report/smoke (see FLEET.md)")
         print(f"  {'quality':<{width}}  detection-quality baseline: report/compare (see QUALITY.md)")

@@ -10,7 +10,7 @@ from repro.features.hog import (
     normalize_block,
     normalize_blocks,
 )
-from repro.features.windows import Window, pyramid, slide, slide_pyramid
+from repro.features.windows import Window, pyramid, slide
 
 __all__ = [
     "DenseHogLayout",
@@ -26,5 +26,4 @@ __all__ = [
     "orientation_bins",
     "pyramid",
     "slide",
-    "slide_pyramid",
 ]

@@ -75,15 +75,3 @@ def pyramid(
             out_h = max(window[0], int(round(arr.shape[0] * factor)))
             out_w = max(window[1], int(round(arr.shape[1] * factor)))
             yield factor, resize_bilinear(arr, out_h, out_w)
-
-
-def slide_pyramid(
-    image: np.ndarray,
-    window: tuple[int, int],
-    stride: tuple[int, int],
-    scale_step: float = 1.25,
-    max_levels: int | None = None,
-) -> Iterator[Window]:
-    """Sliding windows over every pyramid level (multi-scale detection)."""
-    for factor, level in pyramid(image, window, scale_step=scale_step, max_levels=max_levels):
-        yield from slide(level, window, stride, scale=factor)

@@ -8,7 +8,7 @@ Sub-actions::
     incident replay BUNDLE        # re-run the drive, byte-verify the window
     incident smoke [--dir DIR]    # induce one incident end-to-end + replay it
 
-Exit codes follow the lint/bench convention: 0 = success, 1 = failure
+Exit codes follow the lint convention: 0 = success, 1 = failure
 (replay mismatch, smoke produced no incident), 2 = usage error.
 """
 

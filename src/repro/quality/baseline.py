@@ -6,14 +6,14 @@ seeded drives covering every lighting regime and the fault scenarios that
 stress adaptation.  Because the suite and the ground-truth model are
 fully seeded, the summaries are a pure function of the code: re-running
 the suite on any machine reproduces the committed numbers exactly, which
-is what makes an *absolute* noise floor meaningful (unlike the bench
-gate, nothing here measures a wall clock).
+is what makes an *absolute* noise floor meaningful (unlike the benchmark,
+nothing here measures a wall clock).
 
 ``compare`` judges a fresh suite run against a stored baseline: a drive
 whose recall or precision drops more than ``noise_floor`` below the
 committed value is a *regression* (exit 1 from the CLI); a rise beyond
 the floor is an *improvement*, and the gate ratchets by re-writing the
-baseline — mirroring ``repro bench --compare`` and the lint baseline.
+baseline — mirroring the lint baseline.
 
 The one wall-valued field (``suite_wall_s``, how long the suite took to
 score) is declared in :data:`repro.core.spec.WALL_KEYS`, so the
@@ -42,7 +42,7 @@ QUALITY_SCHEMA_VERSION = 1
 #: model-tuning noise (a re-tuned jitter constant), not measurement noise.
 DEFAULT_NOISE_FLOOR = 0.02
 
-#: Compare verdicts, in severity order (mirrors the bench gate).
+#: Compare verdicts, in severity order.
 STATUSES = ("regressed", "missing", "new", "improved", "unchanged")
 
 #: The canonical suite: (short name, trace, fault scenario).  Every
@@ -272,7 +272,7 @@ def compare(
     more than ``noise_floor`` below the baseline; the symmetric rise
     marks it improved (the ratchet signal).  Baseline-only drives are
     *missing*, current-only drives are *new* — worth noticing, not worth
-    failing, exactly like the bench gate.
+    failing.
     """
     if noise_floor < 0:
         raise QualityError(f"noise_floor must be >= 0, got {noise_floor}")

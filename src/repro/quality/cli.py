@@ -5,7 +5,7 @@
     python -m repro quality compare QUALITY_BASELINE.json  # ratchet gate
     python -m repro quality compare QUALITY_BASELINE.json --format json
 
-Exit codes follow the ``repro lint`` / ``repro bench`` convention: 0 clean
+Exit codes follow the ``repro lint`` convention: 0 clean
 (no regression beyond the noise floor), 1 quality regressed, 2 usage or
 configuration error (including a missing or malformed baseline).
 """

@@ -1,6 +1,6 @@
 """Structured tracing, metrics, and profiling for the reproduction.
 
-See TELEMETRY.md at the repository root.  The subsystem has three parts:
+See TELEMETRY.md at the repository root.  Its modules:
 
 * :mod:`repro.telemetry.spans` — the tracing core: :class:`Span`,
   :class:`SpanEvent`, the recording :class:`Tracer`, and the zero-cost
@@ -14,7 +14,10 @@ See TELEMETRY.md at the repository root.  The subsystem has three parts:
   format-sniffing loader for the ``python -m repro telemetry`` summary;
 * :mod:`repro.telemetry.openmetrics` — OpenMetrics text exposition
   (render/parse/export) for metrics snapshots, so a fleet run scrapes
-  like any production service.
+  like any production service;
+* :mod:`repro.telemetry.profile` — the span profiler behind
+  ``python -m repro telemetry --top``: self-vs-child rollups, per-frame
+  percentiles and collapsed stacks over recorded spans (see PERF.md).
 
 :class:`Telemetry` bundles one tracer and one registry into the session
 object that `ZynqSoC`, `AdaptiveDetectionSystem`, and the pipelines accept;

@@ -344,50 +344,6 @@ class TestFramework:
         assert "determinism-rng" not in {v.rule_id for v in found}
 
 
-class TestBenchRegistry:
-    SUITE = "repro.perf.suites.fake"
-
-    def test_fires_on_unregistered_public_function(self):
-        src = "def resize_bench(ctx):\n    return lambda: None\n"
-        assert only(src, "bench-registry", module=self.SUITE) == ["bench-registry"]
-
-    def test_quiet_on_registered_unit_suffixed_bench(self):
-        src = (
-            "from repro.perf.registry import bench\n"
-            "@bench('resize_ms', group='imaging')\n"
-            "def resize(ctx):\n    return lambda: None\n"
-        )
-        assert only(src, "bench-registry", module=self.SUITE) == []
-
-    def test_quiet_on_private_helpers(self):
-        src = "def _frame(ctx, h, w):\n    return ctx.rng.random((h, w))\n"
-        assert only(src, "bench-registry", module=self.SUITE) == []
-
-    def test_fires_on_name_without_unit_suffix(self):
-        src = (
-            "from repro.perf.registry import bench\n"
-            "@bench('resize_fast', group='imaging')\n"
-            "def resize(ctx):\n    return lambda: None\n"
-        )
-        assert only(src, "bench-registry", module=self.SUITE) == ["bench-registry"]
-
-    def test_fires_on_wall_clock_read(self):
-        src = (
-            "import time\n"
-            "from repro.perf.registry import bench\n"
-            "@bench('resize_ms', group='imaging')\n"
-            "def resize(ctx):\n"
-            "    t0 = time.perf_counter()\n"
-            "    return lambda: t0\n"
-        )
-        assert only(src, "bench-registry", module=self.SUITE) == ["bench-registry"]
-
-    def test_quiet_outside_suite_packages(self):
-        src = "def resize_bench(ctx):\n    return lambda: None\n"
-        assert only(src, "bench-registry", module="repro.perf.runner") == []
-        assert only(src, "bench-registry", module=NON_SIM_MODULE) == []
-
-
 class TestBatchedHotPath:
     PIPELINE = "repro.pipelines.fake"
 

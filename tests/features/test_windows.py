@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.errors import FeatureError
-from repro.features.windows import pyramid, slide, slide_pyramid
+from repro.features.windows import pyramid, slide
 
 
 class TestSlide:
@@ -53,11 +53,3 @@ class TestPyramid:
         img = np.zeros((64, 64))
         levels = list(pyramid(img, (8, 8), scale_step=2.0, max_levels=2))
         assert len(levels) == 2
-
-    def test_slide_pyramid_multiscale_count(self):
-        img = np.zeros((16, 16))
-        wins = list(slide_pyramid(img, (8, 8), (8, 8), scale_step=2.0))
-        # level 1.0: 2x2 windows; level 0.5 (8x8 image): 1 window
-        assert len(wins) == 5
-        scales = {w.scale for w in wins}
-        assert scales == {1.0, 0.5}

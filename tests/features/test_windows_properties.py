@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import FeatureError
 from repro.features.hog import HogConfig, HogDescriptor
-from repro.features.windows import pyramid, slide, slide_pyramid
+from repro.features.windows import pyramid, slide
 
 sizes = st.integers(min_value=8, max_value=64)
 strides = st.integers(min_value=1, max_value=9)
@@ -81,27 +81,6 @@ class TestPyramid:
     def test_max_levels_truncates(self, max_levels):
         levels = list(pyramid(np.zeros((128, 128)), (32, 32), max_levels=max_levels))
         assert 1 <= len(levels) <= max_levels
-
-    @given(
-        h=st.integers(min_value=32, max_value=96),
-        w=st.integers(min_value=32, max_value=96),
-        sy=strides,
-        sx=strides,
-    )
-    @settings(max_examples=30, deadline=None)
-    def test_slide_pyramid_is_concatenation_of_levels(self, h, w, sy, sx):
-        image = np.random.default_rng(0).random((h, w))
-        window, stride = (32, 32), (sy, sx)
-        combined = list(slide_pyramid(image, window, stride))
-        per_level = [
-            win
-            for factor, level in pyramid(image, window)
-            for win in slide(level, window, stride, scale=factor)
-        ]
-        assert len(combined) == len(per_level)
-        for a, b in zip(combined, per_level):
-            assert a.rect == b.rect and a.scale == b.scale
-            assert np.array_equal(a.patch, b.patch)
 
 
 class TestDenseLayoutAgreesWithSlide:
