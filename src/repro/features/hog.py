@@ -193,47 +193,36 @@ def normalize_block(block: np.ndarray, clip: float = 0.2, eps: float = 1e-6) -> 
     return vec / norm
 
 
-def normalize_block_rows(rows: np.ndarray, clip: float = 0.2, eps: float = 1e-6) -> np.ndarray:
+def normalize_block_rows(
+    rows: np.ndarray, clip: float = 0.2, eps: float = 1e-6, out: np.ndarray | None = None
+) -> np.ndarray:
     """L2-Hys normalisation of a (N, block_length) batch of block vectors.
 
     Row ``i`` is bitwise equal to ``normalize_block(rows[i])`` — both paths
     share the batch-size-invariant squared-norm kernel — which lets the
-    dense and batched descriptors reuse one vectorised normaliser without
-    perturbing the per-window reference output.
+    dense descriptor reuse one vectorised normaliser without perturbing the
+    per-window reference output.  ``out`` (which may be ``rows`` itself)
+    receives the result; otherwise a new array does.
     """
     batch = np.asarray(rows, dtype=np.float64)
     if batch.ndim != 2:
         raise FeatureError(f"rows must be (N, block_length), got shape {batch.shape}")
     norm = np.sqrt(square_norm_rows(batch) + eps**2)
-    vec = batch / norm[:, None]
+    vec = np.divide(batch, norm[:, None], out=out)
     np.minimum(vec, clip, out=vec)
     norm = np.sqrt(square_norm_rows(vec) + eps**2)
     vec /= norm[:, None]
     return vec
 
 
-def _block_rows(cells: np.ndarray, config: HogConfig) -> np.ndarray:
-    """Gather overlapping blocks of a (..., rows, cols, n_bins) tensor.
-
-    Returns a (..., block_rows, block_cols, block_length) array whose last
-    axis is each block flattened in the (cell_row, cell_col, bin) order the
-    per-block loop used — a pure strided copy, no arithmetic.
-    """
-    bs, stride = config.block_size, config.block_stride
-    view = sliding_window_view(cells, (bs, bs), axis=(-3, -2))
-    view = view[..., ::stride, ::stride, :, :, :]
-    # view axes: (..., block_rows, block_cols, n_bins, bs, bs); reorder the
-    # trailing three to (bs, bs, n_bins) to match ravel() of a block slice.
-    ordered = np.moveaxis(view, -3, -1)
-    return ordered.reshape(*ordered.shape[:-3], config.block_length)
-
-
 def normalize_blocks(cells: np.ndarray, config: HogConfig) -> np.ndarray:
     """Form overlapping blocks from a cell-histogram tensor and L2-Hys them.
 
-    Vectorised: one strided gather plus one batched normalisation replaces
-    the per-block Python loop (bitwise-identical output; see
-    :func:`normalize_block_rows`).
+    Vectorised: each block's cells are copied into place, one strided copy
+    per cell offset within a block, and the blocks are then normalised in
+    place by one batched :func:`normalize_block_rows` call, which replaces
+    the per-block Python loop (bitwise-identical output).  The output array
+    is the only plane-sized allocation.
 
     Args:
         cells: (rows, cols, n_bins) cell histograms (any rows/cols >= block).
@@ -246,16 +235,24 @@ def normalize_blocks(cells: np.ndarray, config: HogConfig) -> np.ndarray:
         raise FeatureError(
             f"cells must be (rows, cols, {config.n_bins}), got {tensor.shape}"
         )
-    rows, cols, _ = tensor.shape
-    bs = config.block_size
+    rows, cols, n_bins = tensor.shape
+    bs, stride = config.block_size, config.block_stride
     if rows < bs or cols < bs:
         raise FeatureError(f"cell grid {rows}x{cols} smaller than block {bs}x{bs}")
-    gathered = _block_rows(tensor, config)
-    block_rows, block_cols = gathered.shape[:2]
-    flat = normalize_block_rows(
-        gathered.reshape(block_rows * block_cols, config.block_length), clip=config.clip
-    )
-    return flat.reshape(block_rows, block_cols, config.block_length)
+    block_rows = (rows - bs) // stride + 1
+    block_cols = (cols - bs) // stride + 1
+    out = np.empty((block_rows, block_cols, config.block_length))
+    # A block's vector is its cells in (cell_row, cell_col, bin) order, as
+    # ravel() of a block slice gives them.
+    by_cell = out.reshape(block_rows, block_cols, bs, bs, n_bins)
+    row_span = stride * (block_rows - 1) + 1
+    col_span = stride * (block_cols - 1) + 1
+    for i in range(bs):
+        for j in range(bs):
+            by_cell[:, :, i, j] = tensor[i : i + row_span : stride, j : j + col_span : stride]
+    flat = out.reshape(block_rows * block_cols, config.block_length)
+    normalize_block_rows(flat, clip=config.clip, out=flat)
+    return out
 
 
 class HogDescriptor:
@@ -263,7 +260,10 @@ class HogDescriptor:
 
     The three-stage structure matches the hardware pipeline of paper Fig. 2;
     use :meth:`extract` for a single window and :meth:`extract_dense` to
-    share cell histograms across all windows of a frame.
+    share cell histograms across all windows of a frame.  The dense blocks
+    do not depend on the window, so the detectors also share one
+    full-resolution plane's blocks across partitions
+    (``repro.pipelines.base.frame_blocks``).
     """
 
     def __init__(self, config: HogConfig | None = None):
@@ -278,34 +278,6 @@ class HogDescriptor:
         cells = cell_histograms(window, self.config)
         blocks = normalize_blocks(cells, self.config)
         return blocks.ravel()
-
-    def extract_batch(self, windows: np.ndarray) -> np.ndarray:
-        """Descriptors for a stack of windows shaped (N, H, W).
-
-        Routed through the dense vectorised path — one gradient pass, one
-        histogram scatter and one batched block normalisation for the whole
-        stack — while staying bitwise equal to
-        ``np.stack([self.extract(w) for w in windows])`` (pinned by
-        ``tests/features/test_hog.py``).
-        """
-        batch = np.asarray(windows, dtype=np.float64)
-        if batch.ndim != 3:
-            raise FeatureError(f"windows must be (N, H, W), got {batch.shape}")
-        cfg = self.config
-        if batch.shape[0] == 0:
-            return np.zeros((0, cfg.feature_length))
-        if batch.shape[1:] != cfg.window:
-            raise FeatureError(
-                f"window stack shape {batch.shape[1:]} != window {cfg.window}"
-            )
-        cells = cell_histograms_from_field(gradient_field(batch), cfg.cell_size, cfg.n_bins)
-        gathered = _block_rows(cells, cfg)
-        n = batch.shape[0]
-        flat = normalize_block_rows(
-            gathered.reshape(n * cfg.blocks_shape[0] * cfg.blocks_shape[1], cfg.block_length),
-            clip=cfg.clip,
-        )
-        return flat.reshape(n, cfg.feature_length)
 
     def extract_dense(self, image: np.ndarray) -> tuple[np.ndarray, "DenseHogLayout"]:
         """Cell/block features over a whole frame for sliding-window reuse.
@@ -404,9 +376,10 @@ class DenseHogLayout:
         exceed ``threshold``; every other window's margin cannot.
 
         Each block's partial margins against the model's per-block weight
-        slices (49 for a 64x64 window) come from one small GEMM, ``P =
-        blocks @ W.T``; a window's approximate margin is then the sum of
-        its blocks' partial margins, one strided add per block offset.
+        slices (49 for a 64x64 window) come from one small GEMM, ``P = W @
+        blocks.T``, whose row for a block offset is one contiguous plane; a
+        window's approximate margin is then the sum of its blocks' partial
+        margins, one strided add per block offset.
 
         L2-Hys features lie in [0, 1], so the exact margin's computed value
         and the approximation each err by at most ``gamma_n * S`` with ``S
@@ -426,15 +399,15 @@ class DenseHogLayout:
         wb_r, wb_c = self.window_blocks
         length = blocks.shape[2]
         per_block = np.asarray(weights, dtype=np.float64).reshape(wb_r * wb_c, length)
-        partial = (blocks.reshape(-1, length) @ per_block.T).reshape(
-            *blocks.shape[:2], wb_r, wb_c
+        partial = (per_block @ blocks.reshape(-1, length).T).reshape(
+            wb_r, wb_c, *blocks.shape[:2]
         )
         span_r = (rows.size - 1) * cell_stride + 1
         span_c = (cols.size - 1) * cell_stride + 1
         approx = np.zeros((rows.size, cols.size))
         for i in range(wb_r):
             for j in range(wb_c):
-                approx += partial[i : i + span_r : cell_stride, j : j + span_c : cell_stride, i, j]
+                approx += partial[i, j, i : i + span_r : cell_stride, j : j + span_c : cell_stride]
         approx += bias
         approx = approx.ravel()
         if not np.isfinite(approx).all():

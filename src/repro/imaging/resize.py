@@ -75,6 +75,12 @@ def resize_nearest(image: np.ndarray, out_height: int, out_width: int) -> np.nda
     return arr[np.ix_(ys, xs)]
 
 
+#: Output rows per band of :func:`resize_bilinear`.  A band's interpolated
+#: source rows (~40 for a 0.8x pyramid step) stay in cache until its output
+#: rows blend them.
+_BAND_ROWS = 32
+
+
 @functools.lru_cache(maxsize=64)
 def _bilinear_taps(in_len: int, out_len: int) -> tuple[np.ndarray, ...]:
     """(i0, i1, w, 1 - w): the two source indices and weights of each output.
@@ -98,9 +104,12 @@ def resize_bilinear(image: np.ndarray, out_height: int, out_width: int) -> np.nd
     """Bilinear resize of a 2-D plane (align-corners=False convention).
 
     Each output is ``(r0[x0]*(1-wx) + r0[x1]*wx) * (1-wy)
-    + (r1[x0]*(1-wx) + r1[x1]*wx) * wy``, evaluated in that order.  The
-    bracketed row interpolations are made once per source row and then
-    shared by the (up to two) output rows that read it.
+    + (r1[x0]*(1-wx) + r1[x1]*wx) * wy``, evaluated in that order.  It runs
+    in bands of :data:`_BAND_ROWS` output rows: a band interpolates the
+    source rows it reads (the bracketed terms), then blends them into its
+    output rows.  A source row two bands read is interpolated by each, with
+    the same operations, so the result is bitwise that of a whole-plane
+    pass.
     """
     arr = ensure_gray(image)
     if out_height < 1 or out_width < 1:
@@ -110,16 +119,22 @@ def resize_bilinear(image: np.ndarray, out_height: int, out_width: int) -> np.nd
         return arr.copy()
     y0, y1, wy, wy_c = _bilinear_taps(in_h, out_height)
     x0, x1, wx, wx_c = _bilinear_taps(in_w, out_width)
-    rows = np.take(arr, x0, axis=1)
-    rows *= wx_c
-    part = np.take(arr, x1, axis=1)
-    part *= wx
-    rows += part
-    out = np.take(rows, y0, axis=0)
-    out *= wy_c[:, np.newaxis]
-    part = np.take(rows, y1, axis=0)
-    part *= wy[:, np.newaxis]
-    out += part
+    out = np.empty((out_height, out_width))
+    for top in range(0, out_height, _BAND_ROWS):
+        bottom = min(top + _BAND_ROWS, out_height)
+        first = y0[top]  # the taps never decrease, so the band reads rows first..y1[bottom-1]
+        src = arr[first : y1[bottom - 1] + 1]
+        rows = np.take(src, x0, axis=1)
+        rows *= wx_c
+        part = np.take(src, x1, axis=1)
+        part *= wx
+        rows += part
+        band = out[top:bottom]
+        np.take(rows, y0[top:bottom] - first, axis=0, out=band)
+        band *= wy_c[top:bottom, np.newaxis]
+        part = np.take(rows, y1[top:bottom] - first, axis=0)
+        part *= wy[top:bottom, np.newaxis]
+        band += part
     return out
 
 

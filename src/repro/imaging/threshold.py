@@ -15,6 +15,10 @@ import numpy as np
 from repro.errors import ImageError
 from repro.imaging.image import ensure_gray
 
+#: Rows per band of :func:`histogram`'s one-pass count, as in the luma
+#: kernel: a band's scaled values and bin indices stay in cache.
+_BAND_ROWS = 32
+
 
 def binary_threshold(image: np.ndarray, threshold: float, above: bool = True) -> np.ndarray:
     """Fixed-threshold binarisation.
@@ -47,18 +51,27 @@ def histogram(image: np.ndarray, bins: int = 256, value_range: tuple[float, floa
     count, a plane whose values all lie in [0, 1] is counted in one pass as
     ``floor(a * bins)``: scaling by a power of two is exact and so is every
     edge ``k / bins``, so the floor is the bin that ``np.histogram`` lands
-    on after its edge corrections, which take it ~15 passes.  Any other
-    range, bin count, or a plane holding NaN or a value outside [0, 1]
-    goes to ``np.histogram``.
+    on after its edge corrections, which take it ~15 passes.  The count
+    runs in bands of :data:`_BAND_ROWS` rows, so its temporaries are
+    band-sized.  Any other range, bin count, or a plane holding NaN or a
+    value outside [0, 1] goes to ``np.histogram``.
     """
     if bins < 2:
         raise ImageError(f"need at least 2 bins, got {bins}")
     arr = ensure_gray(image)
     unit_pow2 = value_range == (0.0, 1.0) and bins & (bins - 1) == 0
     if unit_pow2 and arr.min() >= 0.0 and arr.max() <= 1.0:  # a NaN fails both tests
-        counts = np.bincount((arr * bins).astype(np.intp).ravel(), minlength=bins + 1)
+        counts = np.zeros(bins + 1, dtype=np.int64)
+        scaled = np.empty((min(_BAND_ROWS, arr.shape[0]), arr.shape[1]))
+        index = np.empty(scaled.shape, dtype=np.intp)
+        for top in range(0, arr.shape[0], _BAND_ROWS):
+            band = arr[top : top + _BAND_ROWS]
+            n = band.shape[0]
+            np.multiply(band, bins, out=scaled[:n])
+            np.copyto(index[:n], scaled[:n], casting="unsafe")  # truncation: floor of a value >= 0
+            counts += np.bincount(index[:n].ravel(), minlength=bins + 1)
         counts[bins - 1] += counts[bins]  # 1.0 scales to ``bins``: the last bin is closed
-        return counts[:bins].astype(np.int64, copy=False)
+        return counts[:bins]
     counts, _ = np.histogram(arr, bins=bins, range=value_range)
     return counts.astype(np.int64)
 

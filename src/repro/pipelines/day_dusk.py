@@ -22,7 +22,7 @@ from repro.imaging.image import ensure_rgb
 from repro.imaging.resize import resize_bilinear
 from repro.ml.linear import LinearModel, require_trained
 from repro.ml.svm import LinearSvm, SvmConfig
-from repro.pipelines.base import Detection, scan_windows
+from repro.pipelines.base import Detection, frame_blocks, scan_windows
 from repro.telemetry.metrics import DETECTIONS_BUCKETS
 from repro.telemetry.session import NULL_TELEMETRY, Telemetry
 
@@ -106,7 +106,9 @@ class HogSvmVehicleDetector:
 
         The fixed 64x64 window only matches one apparent vehicle size; the
         pyramid recovers nearer (larger) vehicles by shrinking the frame.
-        Detections are reported in native frame coordinates.
+        Detections are reported in native frame coordinates.  Level 0 is
+        the luma plane itself, whose blocks the pedestrian partition scans
+        too (:func:`~repro.pipelines.base.frame_blocks`).
         """
         rgb = ensure_rgb(frame, "frame")
         plane = luminance(rgb)
@@ -115,7 +117,7 @@ class HogSvmVehicleDetector:
         for factor, level in pyramid(
             plane, window, scale_step=scale_step, max_levels=max_levels
         ):
-            rects, scores = self._scan_plane(level)
+            rects, scores = self._scan_plane(level, shared=level is plane)
             for rect, score in zip(rects, scores):
                 all_rects.append(rect.scaled(1.0 / factor))
                 all_scores.append(score)
@@ -124,8 +126,12 @@ class HogSvmVehicleDetector:
             Detection(rect=all_rects[i], score=all_scores[i], kind="vehicle") for i in keep
         ]
 
-    def _scan_plane(self, plane: np.ndarray) -> tuple[list, list[float]]:
-        """Dense scan of one luma plane; returns (rects, scores), no NMS."""
+    def _scan_plane(self, plane: np.ndarray, shared: bool = False) -> tuple[list, list[float]]:
+        """Dense scan of one luma plane; returns (rects, scores), no NMS.
+
+        ``shared`` marks the full-resolution luma plane this detector made:
+        its blocks go through :func:`~repro.pipelines.base.frame_blocks`.
+        """
         model = require_trained(self.model, self.name)
         win_h, win_w = self.config.hog.window
         if plane.shape[0] < win_h or plane.shape[1] < win_w:
@@ -133,8 +139,9 @@ class HogSvmVehicleDetector:
                 f"frame {plane.shape} smaller than detector window {(win_h, win_w)}"
             )
         cfg = self.config
+        dense = frame_blocks(self.hog, plane) if shared else None
         return scan_windows(
-            self.hog, plane, model, cfg.window_stride_blocks, cfg.decision_threshold
+            self.hog, plane, model, cfg.window_stride_blocks, cfg.decision_threshold, dense
         )
 
     def detect(self, frame: np.ndarray) -> list[Detection]:
@@ -142,7 +149,7 @@ class HogSvmVehicleDetector:
         telemetry = self.telemetry
         rgb = ensure_rgb(frame, "frame")
         with telemetry.stage("day_dusk.hog_scan"):
-            rects, scores = self._scan_plane(luminance(rgb))
+            rects, scores = self._scan_plane(luminance(rgb), shared=True)
         with telemetry.stage("day_dusk.nms"):
             keep = non_max_suppression(rects, scores, iou_threshold=self.config.nms_iou)
         if telemetry.enabled:

@@ -25,7 +25,7 @@ from repro.imaging.image import ensure_rgb
 from repro.imaging.resize import resize_bilinear
 from repro.ml.linear import LinearModel, require_trained
 from repro.ml.svm import LinearSvm, SvmConfig
-from repro.pipelines.base import Detection, scan_windows
+from repro.pipelines.base import Detection, frame_blocks, scan_windows
 from repro.rng import make_rng
 from repro.telemetry.metrics import DETECTIONS_BUCKETS
 from repro.telemetry.session import NULL_TELEMETRY, Telemetry
@@ -114,8 +114,16 @@ class PedestrianDetector:
         return [Detection(rect=rects[i], score=kept[i], kind="pedestrian") for i in keep]
 
     def _scan_plane(self, plane: np.ndarray, model: LinearModel) -> tuple[list, list[float]]:
-        """Dense scan of the luma plane; returns (rects, scores), no NMS."""
+        """Dense scan of this detector's luma plane; returns (rects, scores),
+        no NMS.  Its blocks are the day/dusk pyramid's level 0 on a day or
+        dusk frame, so they go through
+        :func:`~repro.pipelines.base.frame_blocks`."""
         cfg = self.config
         return scan_windows(
-            self.hog, plane, model, cfg.window_stride_blocks, cfg.decision_threshold
+            self.hog,
+            plane,
+            model,
+            cfg.window_stride_blocks,
+            cfg.decision_threshold,
+            frame_blocks(self.hog, plane),
         )

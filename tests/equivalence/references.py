@@ -26,9 +26,18 @@ from repro.pipelines.dark import DBN_STRIDE, DBN_WINDOW, DarkVehicleDetector
 
 
 def scan_windows_reference(
-    hog: HogDescriptor, plane: np.ndarray, model: LinearModel, stride: int, threshold: float
+    hog: HogDescriptor,
+    plane: np.ndarray,
+    model: LinearModel,
+    stride: int,
+    threshold: float,
+    dense: tuple | None = None,
 ) -> tuple[list[Rect], list[float]]:
-    """Per-window HOG+SVM scan: slice, score, threshold, one at a time."""
+    """Per-window HOG+SVM scan: slice, score, threshold, one at a time.
+
+    It ignores ``dense`` and computes the plane's blocks itself, so the
+    oracle never reads the blocks the two partitions share.
+    """
     blocks, layout = hog.extract_dense(plane)
     rects, scores = [], []
     for r, c in layout.window_positions(stride):
@@ -64,7 +73,8 @@ def reference_scans() -> Iterator[None]:
     Rebinds the ``scan_windows`` name the day/dusk and pedestrian modules
     imported, and ``DarkVehicleDetector.dbn_grid`` on the class; everything
     else — front ends, NMS, candidate extraction, pair matching — stays the
-    production code.
+    production code.  The HOG oracle computes its blocks from the plane, so
+    it bypasses the blocks shared between partitions.
     """
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(day_dusk, "scan_windows", scan_windows_reference)

@@ -195,13 +195,11 @@ class TestNormalization:
 
 class TestDescriptor:
     @pytest.mark.parametrize("config", CONFIGS, ids=lambda c: f"{c.window}-c{c.cell_size}")
-    def test_extract_batch_matches_extract(self, config):
+    def test_dense_window_matches_extract(self, config):
         hog = HogDescriptor(config)
-        rng = np.random.default_rng(3)
-        stack = rng.random((4, *config.window))
-        batch = hog.extract_batch(stack)
-        reference = np.stack([hog.extract(w) for w in stack])
-        assert batch.tobytes() == reference.tobytes()
+        for window in np.random.default_rng(3).random((4, *config.window)):
+            blocks, _ = hog.extract_dense(window)
+            assert blocks.tobytes() == hog.extract(window).tobytes()
 
 
 class TestDenseGather:

@@ -1,14 +1,16 @@
 """Differential tests for the HOG+SVM front end: pyramid resize and bands.
 
-``resize_bilinear`` (cached taps, row interpolations shared between output
-rows) is pinned against the straightforward gather-and-blend kept here as
-the oracle.  ``HogDescriptor.extract_dense`` (gradient, orientation bins
-and histograms in bands of ``BAND_CELLS`` cell rows) is pinned against one
-unbanded pass over the whole cropped plane: ``gradient_field`` on the plane
-and the ``np.add.at`` histogram scatter.  Both must match byte for byte,
-including on upscales, 1-px outputs, same-size copies, and planes whose
-height is not a whole number of bands, is less than one band, or is
-exactly one cell row.
+``resize_bilinear`` (cached taps, bands of output rows, row interpolations
+shared between the output rows of a band) is pinned against the
+straightforward gather-and-blend kept here as the oracle.
+``HogDescriptor.extract_dense`` (gradient, orientation bins and histograms
+in bands of ``BAND_CELLS`` cell rows, blocks gathered by cell offset and
+normalised in place) is pinned against one unbanded pass over the whole
+cropped plane: ``gradient_field`` on the plane, the ``np.add.at``
+histogram scatter and a per-block ``normalize_block`` loop.  Both must
+match byte for byte, including on upscales, 1-px outputs, same-size
+copies, and planes whose height is not a whole number of bands, is less
+than one band, or is exactly one cell row.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.features.gradients import gradient_field, orientation_bins
-from repro.features.hog import HogConfig, HogDescriptor, normalize_blocks
+from repro.features.hog import HogConfig, HogDescriptor, normalize_block, normalize_blocks
 from repro.imaging.resize import resize_bilinear
 
 pytestmark = pytest.mark.equivalence
@@ -61,12 +63,25 @@ def oracle_cells(plane: np.ndarray, cell_size: int, n_bins: int) -> np.ndarray:
     return flat.reshape(rows, cols, n_bins)
 
 
+def oracle_blocks(cells: np.ndarray, config: HogConfig) -> np.ndarray:
+    """One ``normalize_block`` call per block of the whole cell grid."""
+    bs, stride = config.block_size, config.block_stride
+    rows = (cells.shape[0] - bs) // stride + 1
+    cols = (cells.shape[1] - bs) // stride + 1
+    out = np.empty((rows, cols, config.block_length))
+    for r in range(rows):
+        for c in range(cols):
+            cell = cells[r * stride : r * stride + bs, c * stride : c * stride + bs]
+            out[r, c] = normalize_block(cell, clip=config.clip)
+    return out
+
+
 def oracle_dense(plane: np.ndarray, config: HogConfig) -> np.ndarray:
     cs = config.cell_size
     rows = plane.shape[0] // cs * cs
     cols = plane.shape[1] // cs * cs
     cells = oracle_cells(plane[:rows, :cols], cs, config.n_bins)
-    return normalize_blocks(cells, config)
+    return oracle_blocks(cells, config)
 
 
 def assert_bytes_equal(got: np.ndarray, want: np.ndarray) -> None:
@@ -89,6 +104,10 @@ class TestResize:
             ((1, 1), (5, 4)),  # 1-px input
             ((1, 17), (3, 5)),
             ((33, 47), (12, 100)),
+            ((100, 50), (32, 20)),  # one band of 32 output rows, then one row more
+            ((100, 50), (33, 20)),
+            ((100, 50), (65, 20)),
+            ((20, 30), (64, 9)),  # bands of an upscale re-read their edge rows
         ],
     )
     def test_matches_oracle(self, shape, out):
@@ -157,6 +176,14 @@ class TestBandedFrontEnd:
         assert_bytes_equal(
             HogDescriptor(config).extract_dense(plane)[0], oracle_dense(plane, config)
         )
+
+    @pytest.mark.parametrize("config", [HogConfig(), HogConfig(block_size=3, block_stride=2)])
+    @pytest.mark.parametrize("cell_rows", [3, 4, 9, 10, 46])
+    def test_normalisation_matches_per_block_loop(self, config, cell_rows):
+        # Odd and even grids, so a 2-cell stride leaves a cell row or
+        # column over.
+        cells = np.random.default_rng(cell_rows).random((cell_rows, 11, config.n_bins)) * 5.0
+        assert_bytes_equal(normalize_blocks(cells, config), oracle_blocks(cells, config))
 
     def test_flat_rows_at_band_edges(self):
         # Flat rows hit atan2's exact +-pi and -0.0 cases at band edges.

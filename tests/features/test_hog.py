@@ -132,37 +132,20 @@ class TestDescriptor:
         b = hog.extract(img * 0.5)
         assert np.allclose(a, b, atol=1e-3)
 
-    def test_batch_matches_loop_exactly(self):
-        # The batched dense path must be bitwise equal to the per-window
-        # reference stack — exact, not approx (the equivalence suite's
-        # byte-identity claim starts here).
+    def test_dense_of_one_window_matches_extract_exactly(self):
+        # The dense path over a window-sized plane must be bitwise equal to
+        # the per-window descriptor — exact, not approx (the equivalence
+        # suite's byte-identity claim starts here).
         hog = HogDescriptor()
-        rng = np.random.default_rng(8)
-        windows = rng.random((5, 64, 64))
-        batch = hog.extract_batch(windows)
-        reference = np.stack([hog.extract(w) for w in windows])
-        assert batch.tobytes() == reference.tobytes()
+        window = np.random.default_rng(8).random((64, 64))
+        blocks, _ = hog.extract_dense(window)
+        assert blocks.tobytes() == hog.extract(window).tobytes()
 
-    def test_batch_pedestrian_window_exact(self):
+    def test_dense_of_one_pedestrian_window_matches_extract(self):
         hog = HogDescriptor(HogConfig(window=(64, 32)))
-        rng = np.random.default_rng(18)
-        windows = rng.random((4, 64, 32))
-        batch = hog.extract_batch(windows)
-        reference = np.stack([hog.extract(w) for w in windows])
-        assert batch.tobytes() == reference.tobytes()
-
-    def test_batch_empty_stack(self):
-        hog = HogDescriptor()
-        out = hog.extract_batch(np.zeros((0, 64, 64)))
-        assert out.shape == (0, hog.feature_length)
-
-    def test_batch_rejects_2d(self):
-        with pytest.raises(FeatureError):
-            HogDescriptor().extract_batch(np.zeros((64, 64)))
-
-    def test_batch_rejects_wrong_window(self):
-        with pytest.raises(FeatureError):
-            HogDescriptor().extract_batch(np.zeros((2, 32, 32)))
+        window = np.random.default_rng(18).random((64, 32))
+        blocks, _ = hog.extract_dense(window)
+        assert blocks.tobytes() == hog.extract(window).tobytes()
 
 
 class TestDense:
