@@ -1,13 +1,13 @@
 """The functional adaptive detector: lux in, detections out.
 
-`AdaptiveDetectionSystem` (core.system) models the *hardware* story — frame
-clocks, DMA, partial reconfiguration — without running the algorithms.
-This module is its software twin: it holds the three trained pipelines,
-routes every frame to the one the current lighting condition selects
-(day/dusk: HOG+SVM with the matching model; dark: the DBN pipeline), and
-mirrors the hardware's switching semantics — day<->dusk swaps are free,
-dusk<->dark transitions cost a reconfiguration delay during which vehicle
-frames return no detections.
+A thin pixel stage over :class:`repro.core.system.AdaptiveDetectionSystem`.
+Each :meth:`AdaptiveVehicleDetector.process` call is one tick of that
+system: the frame is issued to the SoC model, the pipeline the vehicle
+partition has up runs on it (day/dusk: HOG+SVM with the selected model;
+dark: the DBN pipeline), and then the sensor sample goes to the system's
+controller.  A switch therefore takes effect from the next frame: a
+day<->dusk model swap is free, and a dusk<->dark partial reconfiguration
+(20.51 ms, one period and a bit at 50 fps) leaves the next frame blind.
 """
 
 from __future__ import annotations
@@ -16,16 +16,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.adaptive.controller import ControllerConfig, LightingController
-from repro.adaptive.policy import (
-    CONFIG_FOR_CONDITION,
-    SwitchKind,
-    VehicleConfigurationId,
-    plan_switch,
-)
+from repro.adaptive.controller import ControllerConfig
+from repro.adaptive.policy import VehicleConfigurationId
+from repro.core.system import AdaptiveDetectionSystem, SystemConfig
 from repro.datasets.lighting import LightingCondition
 from repro.errors import ConfigurationError, PipelineError
-from repro.faults.plan import FaultPlan, FaultSite
+from repro.faults.plan import FaultPlan
 from repro.ml.linear import LinearModel
 from repro.pipelines.base import Detection
 from repro.pipelines.dark import DarkVehicleDetector
@@ -36,9 +32,12 @@ from repro.pipelines.day_dusk import DayDuskConfig, HogSvmVehicleDetector
 class FrameResult:
     """Outcome of one functional frame.
 
-    ``degraded`` marks frames where the active pipeline raised (or a fault
-    plan injected an exception) and the detector fell back to reporting no
-    detections instead of crashing the stream.
+    ``condition`` is the controller's condition and ``active_pipeline`` the
+    image (and model) the vehicle partition holds when the frame is issued.
+    ``reconfiguring`` marks a frame the partition could not take because it
+    was being reconfigured.  ``degraded`` marks a frame the partition lost
+    while up (a raising pipeline, a flushed tick or a busy ingress): it
+    reports no detections instead of crashing the stream.
     """
 
     time_s: float
@@ -55,22 +54,15 @@ class FunctionalConfig:
 
     Attributes:
         controller: Hysteresis controller settings.
-        reconfiguration_s: Blind window after a dusk<->dark switch (the
-            hardware's ~20 ms; configurable for experiments).
         multiscale: Use pyramid detection for the HOG pipelines.
     """
 
     controller: ControllerConfig = field(default_factory=ControllerConfig)
-    reconfiguration_s: float = 0.0205
     multiscale: bool = False
-
-    def __post_init__(self) -> None:
-        if self.reconfiguration_s < 0:
-            raise ConfigurationError("reconfiguration_s must be >= 0")
 
 
 class AdaptiveVehicleDetector:
-    """Routes frames to the pipeline the lighting condition selects."""
+    """Runs the pipeline the adaptive system's vehicle partition has up."""
 
     def __init__(
         self,
@@ -92,77 +84,52 @@ class AdaptiveVehicleDetector:
             name: base.with_model(model) for name, model in condition_models.items()
         }
         self._dark = dark_detector
-        self.controller = LightingController(self.config.controller, initial=initial)
-        self.fault_plan = fault_plan
-        self._blind_until = float("-inf")
+        self.system = AdaptiveDetectionSystem(
+            SystemConfig(controller=self.config.controller, initial_condition=initial),
+            fault_plan=fault_plan,
+        )
+        self.controller = self.system.controller
         self.results: list[FrameResult] = []
-        self.degraded_frames = 0
 
     @property
-    def condition(self) -> LightingCondition:
-        return self.controller.condition
-
-    @property
-    def active_pipeline_name(self) -> str:
-        if self.condition is LightingCondition.DARK:
-            return self._dark.name
-        return f"{self._hog[self.condition.value].name}:{self.condition.value}"
+    def degraded_frames(self) -> int:
+        return sum(1 for r in self.results if r.degraded)
 
     def process(self, time_s: float, lux: float, frame: np.ndarray) -> FrameResult:
-        """Classify the lighting, switch pipelines if needed, detect.
+        """One tick: issue the frame, run the partition's pipeline, sense.
 
-        During a reconfiguration blind window (dusk<->dark switches) the
-        vehicle stream reports no detections — matching the hardware's one
-        dropped frame at 50 fps.
+        ``time_s`` must not decrease between calls.  The frame is served by
+        the configuration and model the SoC has up when it is issued, so
+        the frame whose lux triggers a switch still runs the outgoing one.
         """
-        change = self.controller.update(time_s, lux)
-        if change is not None:
-            plan = plan_switch(change.previous, change.new)
-            if plan.kind is SwitchKind.PARTIAL_RECONFIG:
-                self._blind_until = time_s + self.config.reconfiguration_s
-        reconfiguring = time_s < self._blind_until
         condition = self.controller.condition
-        degraded = False
-        if reconfiguring:
-            detections: list[Detection] = []
+        vehicle_ok, _ = self.system.issue_frame(len(self.results), time_s)
+        soc = self.system.soc
+        reconfiguring = not soc.vehicle.available
+        if soc.vehicle.configuration == VehicleConfigurationId.DARK.value:
+            active, detect = self._dark.name, self._dark.detect
         else:
+            hog = self._hog[soc.vehicle_model]
+            active = f"{hog.name}:{soc.vehicle_model}"
+            detect = hog.detect_multiscale if self.config.multiscale else hog.detect
+        detections: list[Detection] = []
+        degraded = not (vehicle_ok or reconfiguring)
+        if vehicle_ok:
             try:
-                if self.fault_plan is not None and self.fault_plan.fire(
-                    FaultSite.PIPELINE_EXCEPTION, "vehicle", time_s
-                ):
-                    raise PipelineError(f"injected detector exception at t={time_s}")
-                if condition is LightingCondition.DARK:
-                    detections = self._dark.detect(frame)
-                else:
-                    detector = self._hog[condition.value]
-                    if self.config.multiscale:
-                        detections = detector.detect_multiscale(frame)
-                    else:
-                        detections = detector.detect(frame)
+                detections = detect(frame)
             except PipelineError:
-                # Fail safe, not silent: report no detections for this
-                # frame rather than killing the stream, and mark the frame
-                # degraded so drives stay auditable.
-                detections = []
+                # Fail safe, not silent: no detections for this frame
+                # rather than a dead stream, and the frame marked degraded
+                # so drives stay auditable.
                 degraded = True
-                self.degraded_frames += 1
+        self.system.sense(time_s, lux)
         result = FrameResult(
             time_s=time_s,
             condition=condition,
-            active_pipeline=self.active_pipeline_name,
+            active_pipeline=active,
             detections=detections,
             reconfiguring=reconfiguring,
             degraded=degraded,
         )
         self.results.append(result)
         return result
-
-    def pipeline_for(self, condition: LightingCondition):
-        """The pipeline the given condition routes to (introspection)."""
-        if condition is LightingCondition.DARK:
-            return self._dark
-        return self._hog[condition.value]
-
-    @staticmethod
-    def configuration_for(condition: LightingCondition) -> VehicleConfigurationId:
-        return CONFIG_FOR_CONDITION[condition]

@@ -9,10 +9,13 @@ dusk, instantaneous) or trigger a partial reconfiguration (dusk <-> dark,
 frames while the pedestrian detector "continues its operation ... and
 guarantees the real-time and safe behavior of the system".
 
-The drive is timing and control only: ``run_drive`` renders no pixels and
-runs no detection pipeline.  The pixel path — rendered frames through the
-pipeline the lighting condition selects — is
-:class:`repro.core.functional.AdaptiveVehicleDetector`.
+A tick is two calls: :meth:`AdaptiveDetectionSystem.issue_frame` hands the
+frame to both partitions, then :meth:`AdaptiveDetectionSystem.sense` feeds
+each sensor sample due to the controller and applies any switch.
+``run_drive`` is the timing-only loop over them and renders no pixels.
+:class:`repro.core.functional.AdaptiveVehicleDetector` makes the same two
+calls around the real pipelines, so both loops share one controller, one
+switch plan and one blind window.
 """
 
 from __future__ import annotations
@@ -20,7 +23,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.adaptive.controller import ConditionChange, ControllerConfig, LightingController
-from repro.adaptive.policy import CONFIG_FOR_CONDITION, SwitchKind, plan_switch
+from repro.adaptive.policy import (
+    CONFIG_FOR_CONDITION,
+    SwitchKind,
+    VehicleConfigurationId,
+    plan_switch,
+)
 from repro.adaptive.sensor import LightSensor, LuxTrace
 from repro.core.spec import DriveSpec
 from repro.datasets.lighting import LightingCondition
@@ -251,9 +259,13 @@ class AdaptiveDetectionSystem:
             pr_timeout_s=policy.pr_timeout_s,
             telemetry=self.telemetry,
         )
-        self.controller = LightingController(
-            self.config.controller, initial=self.config.initial_condition
-        )
+        initial = self.config.initial_condition
+        self.controller = LightingController(self.config.controller, initial=initial)
+        # Power on in the image and SVM model the initial condition calls
+        # for (no switch happened, so nothing is traced).
+        self.soc.vehicle.configuration = CONFIG_FOR_CONDITION[initial].value
+        self.soc.pr.active_configuration = self.soc.vehicle.configuration
+        self.soc.vehicle_model = MODEL_FOR_CONDITION.get(initial, self.soc.vehicle_model)
         self.report = DriveReport()
         if self.telemetry.enabled:
             self.report.telemetry = self.telemetry
@@ -358,6 +370,12 @@ class AdaptiveDetectionSystem:
 
         def done(report: ReconfigReport) -> None:
             report.attempt = attempt
+            if report.ok and configuration == VehicleConfigurationId.DAY_DUSK.value:
+                # The fresh day_dusk image selects the model of the
+                # condition that asked for it.
+                self.soc.vehicle_model = MODEL_FOR_CONDITION.get(
+                    self.controller.condition, self.soc.vehicle_model
+                )
             self.report.reconfigurations.append(report)
             if self.monitor.enabled:
                 self.monitor.on_reconfig(report)
@@ -407,6 +425,36 @@ class AdaptiveDetectionSystem:
 
         self.soc.sim.schedule(delay, retry)
 
+    # The two halves of a tick ---------------------------------------------------
+
+    def issue_frame(self, index: int, t: float) -> tuple[bool, bool]:
+        """Run the SoC up to ``t`` and hand frame ``index`` to both partitions.
+
+        Returns whether the vehicle and the pedestrian partition accepted
+        it.  The vehicle side refuses a frame while it reconfigures, while
+        its ingress is busy, or when a detector exception flushes it.
+        """
+        self.soc.sim.run_until(t)
+        # A detector exception on the vehicle accelerator costs that frame:
+        # the partition's per-frame watchdog flushes the pipeline and the
+        # stream resumes on the next tick.  The static pedestrian partition
+        # is never consulted — it cannot be made to skip a frame.
+        if self.fault_plan is not None and self.fault_plan.fire(
+            FaultSite.PIPELINE_EXCEPTION, "vehicle", t
+        ):
+            veh_ok = False
+            self.soc.vehicle.frames_dropped += 1
+            self._degrade("detector-flush", f"vehicle pipeline flushed at frame {index}")
+        else:
+            veh_ok = self.soc.submit_frame("vehicle")
+        return veh_ok, self.soc.submit_frame("pedestrian")
+
+    def sense(self, t: float, lux: float) -> None:
+        """Feed one sensor sample to the controller and apply any switch."""
+        change = self.controller.update(t, lux)
+        if change is not None:
+            self._handle_change(change)
+
     def run_drive(self, trace: LuxTrace, duration_s: float | None = None, sensor: LightSensor | None = None) -> DriveReport:
         """Drive the system over a lux trace; returns the full report."""
         if duration_s is None:
@@ -439,29 +487,13 @@ class AdaptiveDetectionSystem:
         for i in range(n_frames):
             t = i * frame_period
             with telemetry.span("drive.frame", index=i) as frame_span:
-                sim.run_until(t)
-                # A detector exception on the vehicle accelerator costs that
-                # frame: the partition's per-frame watchdog flushes the
-                # pipeline and the stream resumes on the next tick.  The
-                # static pedestrian partition is never consulted — it cannot
-                # be made to skip a frame.
-                if fault_plan is not None and fault_plan.fire(
-                    FaultSite.PIPELINE_EXCEPTION, "vehicle", t
-                ):
-                    veh_ok = False
-                    self.soc.vehicle.frames_dropped += 1
-                    self._degrade("detector-flush", f"vehicle pipeline flushed at frame {i}")
-                else:
-                    veh_ok = self.soc.submit_frame("vehicle")
-                ped_ok = self.soc.submit_frame("pedestrian")
+                veh_ok, ped_ok = self.issue_frame(i, t)
                 # Sensor + controller at their own (slower) cadence; the
                 # light sensor is asynchronous to the frame clock, so its
                 # samples land after the tick's frame has been issued.
                 while next_sensor_t <= t:
                     lux = sensor.read(next_sensor_t)
-                    change = self.controller.update(next_sensor_t, lux)
-                    if change is not None:
-                        self._handle_change(change)
+                    self.sense(next_sensor_t, lux)
                     next_sensor_t += self.config.sensor_period_s
                 # Fold every fault/degradation event since the last frame
                 # into this frame's audit trail.

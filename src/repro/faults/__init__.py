@@ -4,7 +4,6 @@ See FAULTS.md at the repository root for the injection-site map and the
 degradation policy this package drives.
 """
 
-from repro.faults.pipeline import FaultyPipeline
 from repro.faults.plan import (
     ANY_TARGET,
     DegradationEvent,
@@ -22,7 +21,6 @@ __all__ = [
     "FaultPlan",
     "FaultSite",
     "FaultSpec",
-    "FaultyPipeline",
     "SCENARIOS",
     "get_scenario",
 ]

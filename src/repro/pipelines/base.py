@@ -7,6 +7,7 @@ from typing import Protocol, runtime_checkable
 
 import numpy as np
 
+from repro.errors import PipelineError
 from repro.features.hog import DenseHogLayout, HogDescriptor
 from repro.imaging.geometry import Rect
 from repro.ml.linear import LinearModel
@@ -87,6 +88,7 @@ def frame_blocks(hog: HogDescriptor, plane: np.ndarray) -> tuple[np.ndarray, Den
 
     The plane is kept by reference and made read-only: pass only a plane
     the caller made itself, such as a detector's own ``luminance`` output.
+    A plane holding a NaN or an infinity raises :class:`PipelineError`.
     """
     global _frame_slot
     config = hog.config
@@ -95,6 +97,8 @@ def frame_blocks(hog: HogDescriptor, plane: np.ndarray) -> tuple[np.ndarray, Den
     if slot is not None and slot[0] == key and _same_bytes(slot[1], plane):
         blocks = slot[2]
         return blocks, DenseHogLayout(config, blocks.shape[0], blocks.shape[1])
+    if not np.isfinite(plane).all():
+        raise PipelineError("frame holds a non-finite pixel")
     blocks, layout = hog.extract_dense(plane)
     blocks.flags.writeable = False
     plane.flags.writeable = False

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core.functional import AdaptiveVehicleDetector, FunctionalConfig
+from repro.pipelines import base
 from repro.datasets.lighting import (
     DARK_LIGHTING,
     DAY_LIGHTING,
@@ -14,6 +15,7 @@ from repro.datasets.lighting import (
 )
 from repro.datasets.scene import SceneConfig, render_scene
 from repro.errors import ConfigurationError, PipelineError
+from repro.faults.plan import FaultPlan, FaultSite, FaultSpec
 from repro.pipelines.dark import DarkVehicleDetector
 
 
@@ -38,10 +40,6 @@ class TestConstruction:
         with pytest.raises(PipelineError):
             AdaptiveVehicleDetector(condition_models, DarkVehicleDetector())
 
-    def test_rejects_negative_reconfig_window(self):
-        with pytest.raises(ConfigurationError):
-            FunctionalConfig(reconfiguration_s=-1.0)
-
 
 class TestRouting:
     def test_day_routes_to_hog(self, adaptive):
@@ -59,47 +57,60 @@ class TestRouting:
         assert result.condition is LightingCondition.DARK
         assert result.active_pipeline == "vehicle-dark"
 
-    def test_pipeline_for_condition(self, adaptive, dark_detector):
-        assert adaptive.pipeline_for(LightingCondition.DARK) is dark_detector
-        assert adaptive.pipeline_for(LightingCondition.DAY).model.meta["name"] == "day"
-        assert adaptive.pipeline_for(LightingCondition.DUSK).model.meta["name"] == "dusk"
-
-    def test_configuration_mapping(self, adaptive):
-        from repro.adaptive.policy import VehicleConfigurationId
-
-        assert (
-            adaptive.configuration_for(LightingCondition.DAY)
-            is VehicleConfigurationId.DAY_DUSK
-        )
-        assert (
-            adaptive.configuration_for(LightingCondition.DARK)
-            is VehicleConfigurationId.DARK
-        )
-
 
 class TestSwitching:
     def test_dusk_to_dark_has_blind_window(self, condition_models, dark_detector):
         detector = AdaptiveVehicleDetector(
-            condition_models,
-            dark_detector,
-            config=FunctionalConfig(reconfiguration_s=0.5),
-            initial=LightingCondition.DUSK,
+            condition_models, dark_detector, initial=LightingCondition.DUSK
         )
         dark_rgb = _frame(LightingCondition.DARK).rgb
-        first = detector.process(10.0, 1.0, dark_rgb)  # triggers PR
-        assert first.reconfiguring
-        assert first.detections == []
-        later = detector.process(10.6, 1.0, dark_rgb)  # window elapsed
-        assert not later.reconfiguring
+        # The frame whose lux triggers the PR is served by the outgoing image.
+        switch = detector.process(10.0, 1.0, dark_rgb)
+        assert switch.condition is LightingCondition.DUSK
+        assert not switch.reconfiguring and not switch.degraded
+        assert switch.active_pipeline.endswith(":dusk")
+        # 20.51 ms of PR is longer than one 20 ms period: the next is blind.
+        blind = detector.process(10.02, 1.0, dark_rgb)
+        assert blind.condition is LightingCondition.DARK
+        assert blind.reconfiguring and blind.detections == []
+        assert not blind.degraded
+        after = detector.process(10.04, 1.0, dark_rgb)
+        assert not after.reconfiguring
+        assert after.active_pipeline == "vehicle-dark"
+        assert [r.reconfiguring for r in detector.results] == [False, True, False]
 
     def test_day_dusk_swap_is_free(self, condition_models, dark_detector):
         detector = AdaptiveVehicleDetector(
             condition_models, dark_detector, initial=LightingCondition.DAY
         )
         dusk_rgb = _frame(LightingCondition.DUSK).rgb
-        result = detector.process(5.0, 100.0, dusk_rgb)  # day -> dusk
+        switch = detector.process(5.0, 100.0, dusk_rgb)  # day -> dusk
+        assert switch.condition is LightingCondition.DAY
+        assert switch.active_pipeline.endswith(":day")
+        result = detector.process(5.02, 100.0, dusk_rgb)
         assert result.condition is LightingCondition.DUSK
-        assert not result.reconfiguring
+        assert result.active_pipeline.endswith(":dusk")
+        assert not switch.reconfiguring and not result.reconfiguring
+
+    def test_abandoned_reconfiguration_keeps_the_last_good_image(
+        self, condition_models, dark_detector
+    ):
+        # Every dark load stalls past the PR watchdog: once its retries run
+        # out the partition stays on day_dusk, and the pixel path with it.
+        plan = FaultPlan([FaultSpec(site=FaultSite.PR_STALL, target="dark", magnitude=5.0)])
+        detector = AdaptiveVehicleDetector(
+            condition_models, dark_detector, initial=LightingCondition.DUSK, fault_plan=plan
+        )
+        dark_rgb = _frame(LightingCondition.DARK).rgb
+        for i in range(75):
+            result = detector.process(10.0 + i * 0.02, 1.0, dark_rgb)
+        report = detector.system.report
+        assert len(report.reconfigurations) == 4
+        assert not any(r.ok for r in report.reconfigurations)
+        assert report.degradations[-1].kind == "reconfig-abandoned"
+        assert result.condition is LightingCondition.DARK
+        assert result.active_pipeline.endswith(":dusk")
+        assert not result.reconfiguring and not result.degraded
 
     def test_results_history_accumulates(self, condition_models, dark_detector):
         detector = AdaptiveVehicleDetector(condition_models, dark_detector)
@@ -122,3 +133,44 @@ class TestEndToEnd:
         assert result.condition is LightingCondition.DARK
         assert result.detections
         assert any(d.rect.iou(frame.vehicle_boxes[0]) > 0.2 for d in result.detections)
+
+
+class TestNonFinitePixels:
+    """One NaN or infinite pixel: day/dusk frames degrade, dark frames run."""
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("condition", [LightingCondition.DAY, LightingCondition.DUSK])
+    @pytest.mark.parametrize("multiscale", [False, True])
+    def test_hog_frame_degrades(
+        self, condition_models, dark_detector, monkeypatch, condition, value, multiscale
+    ):
+        monkeypatch.setattr(base, "_frame_slot", None)
+        detector = AdaptiveVehicleDetector(
+            condition_models,
+            dark_detector,
+            config=FunctionalConfig(multiscale=multiscale),
+            initial=condition,
+        )
+        rgb = _frame(condition).rgb.copy()
+        rgb[40, 60, 1] = value
+        lux = 30000.0 if condition is LightingCondition.DAY else 100.0
+        result = detector.process(0.0, lux, rgb)
+        assert result.degraded and result.detections == []
+        assert detector.degraded_frames == 1
+        clean = detector.process(0.02, lux, _frame(condition).rgb)
+        assert not clean.degraded
+        assert detector.degraded_frames == 1
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_dark_frame_runs(self, condition_models, dark_detector, value):
+        detector = AdaptiveVehicleDetector(
+            condition_models, dark_detector, initial=LightingCondition.DARK
+        )
+        clean = _frame(LightingCondition.DARK).rgb
+        rgb = clean.copy()
+        rgb[40, 60, 1] = value
+        result = detector.process(0.0, 1.0, rgb)
+        assert result.active_pipeline == "vehicle-dark"
+        assert not result.degraded
+        # The lone pixel sits far from every lamp: the detections stand.
+        assert result.detections == dark_detector.detect(clean)

@@ -86,6 +86,40 @@ class TestUrbanDrive:
         assert "drops_per_reconfiguration" in summary
 
 
+class TestInitialCondition:
+    """The vehicle partition boots in the image and model its condition needs."""
+
+    def _drive(self, initial: LightingCondition, points, duration_s: float = 1.0):
+        system = AdaptiveDetectionSystem(SystemConfig(initial_condition=initial))
+        trace = LuxTrace(points=points)
+        sensor = LightSensor(trace, noise_rel=0.0)
+        report = system.run_drive(trace, duration_s=duration_s, sensor=sensor)
+        return system, report
+
+    def test_dark_start_runs_dark_without_a_switch(self):
+        system, report = self._drive(LightingCondition.DARK, ((0.0, 0.8), (1.0, 0.8)))
+        assert report.n_frames == 50
+        assert report.frames_degraded == 0
+        assert report.reconfigurations == [] and report.condition_changes == []
+        assert {f.vehicle_configuration for f in report.frames} == {"dark"}
+        assert report.vehicle_dropped == 0
+
+    def test_dusk_start_selects_the_dusk_model(self):
+        system, report = self._drive(LightingCondition.DUSK, ((0.0, 100.0), (1.0, 100.0)))
+        assert system.soc.vehicle_model == "dusk"
+        assert report.frames_degraded == 0 and report.model_swaps == []
+        assert {f.vehicle_configuration for f in report.frames} == {"day_dusk"}
+
+    def test_dark_start_into_dusk_selects_the_dusk_model_untraced(self):
+        system, report = self._drive(
+            LightingCondition.DARK, ((0.0, 0.8), (0.5, 0.8), (0.52, 100.0), (2.0, 100.0)), 2.0
+        )
+        assert [r.bitstream for r in report.reconfigurations if r.ok] == ["day_dusk"]
+        assert system.soc.vehicle_model == "dusk"
+        assert report.model_swaps == [] and report.frames_degraded == 0
+        assert not any("model swap" in r.message for r in system.soc.trace.records)
+
+
 class TestEdgeCases:
     def test_rejects_zero_duration(self):
         system = AdaptiveDetectionSystem()

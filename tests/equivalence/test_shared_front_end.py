@@ -155,16 +155,20 @@ class TestPartitionsStayIndependent:
         for frame in (dusk, dark):
             monkeypatch.setattr(base, "_frame_slot", None)
             want.append(detection_bytes(walker.detect(frame)))
+        # The frame that trips dusk->dark is still served by the dusk image.
+        switch = vehicle.process(0.0, LUX[LightingCondition.DARK], dusk)
+        assert not switch.reconfiguring and switch.active_pipeline.endswith(":dusk")
         monkeypatch.setattr(base, "_frame_slot", None)
         extractions = dense_calls(monkeypatch)
-        # The dusk->dark switch opens a blind window: no vehicle scan at all.
-        blind = vehicle.process(0.0, LUX[LightingCondition.DARK], dusk)
+        # The next frame falls in the 20.51 ms blind window: no vehicle scan.
+        blind = vehicle.process(0.02, LUX[LightingCondition.DARK], dusk)
         assert blind.reconfiguring and blind.detections == []
         assert extractions == []
         assert detection_bytes(walker.detect(dusk)) == want[0]
         # The dark pipeline runs no HOG, so the walker computes its own blocks.
         result = vehicle.process(1.0, LUX[LightingCondition.DARK], dark)
         assert result.condition is LightingCondition.DARK and not result.reconfiguring
+        assert result.active_pipeline == "vehicle-dark"
         assert detection_bytes(walker.detect(dark)) == want[1]
         assert extractions == [(360, 640), (360, 640)]
 

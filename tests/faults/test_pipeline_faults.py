@@ -8,7 +8,6 @@ from repro.core.functional import AdaptiveVehicleDetector
 from repro.datasets.lighting import LightingCondition, lighting_for_condition
 from repro.datasets.scene import SceneConfig, render_scene
 from repro.errors import PipelineError
-from repro.faults.pipeline import FaultyPipeline
 from repro.faults.plan import FaultPlan, FaultSite, FaultSpec
 
 pytestmark = pytest.mark.faults
@@ -31,31 +30,6 @@ def _burst_plan(start_s: float, end_s: float, firings: int | None = None) -> Fau
             max_firings=firings,
         )]
     )
-
-
-class TestFaultyPipelineWrapper:
-    def test_raises_on_scheduled_frames_only(self, condition_models, dark_detector):
-        plan = FaultPlan(
-            [FaultSpec(site=FaultSite.PIPELINE_EXCEPTION, target="vehicle-dark",
-                       start_s=0.02, end_s=0.06)]
-        )
-        wrapped = FaultyPipeline(dark_detector, plan, frame_period_s=0.02)
-        frame = _frame(LightingCondition.DARK)
-        wrapped.detect(frame)  # t=0.00: fine
-        with pytest.raises(PipelineError):
-            wrapped.detect(frame)  # t=0.02: in window
-        with pytest.raises(PipelineError):
-            wrapped.detect(frame)  # t=0.04: in window
-        wrapped.detect(frame)  # t=0.06: window closed
-        assert wrapped.frames_seen == 4
-        assert wrapped.frames_failed == 2
-        assert plan.firings() == 2
-
-    def test_classify_crop_passthrough(self, condition_models, dark_detector):
-        plan = FaultPlan()
-        wrapped = FaultyPipeline(dark_detector, plan)
-        crop = _frame(LightingCondition.DARK)[:40, :40]
-        assert wrapped.classify_crop(crop) == dark_detector.classify_crop(crop)
 
 
 class TestFunctionalDegradation:

@@ -39,6 +39,14 @@ class TestTraining:
 
 
 class TestInference:
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_pixel_raises_pipeline_error(self, trained_pedestrian, value):
+        frame = make_pedestrian_frames(n_frames=1, height=180, width=320, seed=46).frames[0]
+        rgb = frame.rgb.copy()
+        rgb[90, 160, 0] = value
+        with pytest.raises(PipelineError):
+            trained_pedestrian.detect(rgb)
+
     def test_untrained_raises(self):
         with pytest.raises(NotTrainedError):
             PedestrianDetector().classify_crop(np.zeros((64, 32, 3)))
