@@ -359,8 +359,8 @@ class AdaptiveDetectionSystem:
             if self.soc.vehicle.available:
                 self._start_reconfig(plan.target_configuration.value, attempt=1)
             else:
-                # A reconfiguration is in flight; the policy will re-trigger
-                # on the next change (the controller's dwell prevents storms).
+                # A reconfiguration is in flight; when it completes, the
+                # image the controller's condition needs by then comes up.
                 self._pending_reconfig = True
 
     # Reconfiguration with retry/backoff --------------------------------------
@@ -381,6 +381,11 @@ class AdaptiveDetectionSystem:
                 self.monitor.on_reconfig(report)
             if not report.ok:
                 self._schedule_retry(configuration, attempt, report.error)
+            elif self._pending_reconfig:
+                self._pending_reconfig = False
+                wanted = CONFIG_FOR_CONDITION[self.controller.condition].value
+                if wanted != configuration:
+                    self._start_reconfig(wanted, attempt=1)
 
         try:
             self.soc.reconfigure_vehicle(configuration, on_done=done)

@@ -265,12 +265,7 @@ def apply_sensor_model(image: np.ndarray, lighting: LightingModel, rng: np.rando
     if lighting.blur_sigma > 0:
         from repro.imaging.filters import gaussian_blur
 
-        if out.ndim == 3:
-            out = np.stack(
-                [gaussian_blur(out[..., c], lighting.blur_sigma) for c in range(3)], axis=-1
-            )
-        else:
-            out = gaussian_blur(out, lighting.blur_sigma)
+        out = gaussian_blur(out, lighting.blur_sigma)
     # Contrast loss pivots on the scene's own level (no exposure shift):
     # dark scenes stay dark, they just flatten.
     pivot = float(out.mean())

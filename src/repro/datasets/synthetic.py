@@ -247,16 +247,16 @@ TAILLIGHT_CLASS_LARGE = 3  # near taillight, radius ~3-4 px
 TAILLIGHT_CLASS_NAMES = ("none", "small", "medium", "large")
 
 _WINDOW_SIDE = 9
+_WINDOW_YS, _WINDOW_XS = np.mgrid[0:_WINDOW_SIDE, 0:_WINDOW_SIDE]
 
 
 def _disk_window(rng: np.random.Generator, radius: float) -> np.ndarray:
     """A 9x9 binary window with a roughly circular blob of ``radius``."""
     cy = 4.0 + rng.uniform(-1.2, 1.2)
     cx = 4.0 + rng.uniform(-1.2, 1.2)
-    ys, xs = np.mgrid[0:_WINDOW_SIDE, 0:_WINDOW_SIDE]
     # Slight ellipticity: real taillights are wider than tall.
     ey = rng.uniform(0.8, 1.25)
-    dist = ((ys - cy) * ey) ** 2 + (xs - cx) ** 2
+    dist = ((_WINDOW_YS - cy) * ey) ** 2 + (_WINDOW_XS - cx) ** 2
     window = (dist <= radius**2).astype(np.float64)
     # Ragged edge from thresholding noise.
     flip = rng.random((_WINDOW_SIDE, _WINDOW_SIDE)) < 0.02

@@ -50,7 +50,8 @@ def fill_disk(image: np.ndarray, cx: float, cy: float, radius: float, value) -> 
     x1, x2 = _clip_span(int(cx - radius), int(cx + radius) + 2, width)
     if y2 <= y1 or x2 <= x1:
         return
-    ys, xs = np.mgrid[y1:y2, x1:x2]
+    ys = np.arange(y1, y2)[:, None]
+    xs = np.arange(x1, x2)
     inside = (ys - cy) ** 2 + (xs - cx) ** 2 <= radius**2
     region = image[y1:y2, x1:x2]
     if arr.ndim == 3:
@@ -68,7 +69,9 @@ def light_glow(height: int, width: int, cx: float, cy: float, radius: float, int
     """
     if radius <= 0:
         raise ImageError(f"radius must be positive, got {radius}")
-    ys, xs = np.mgrid[0:height, 0:width]
+    # Open row and column grids: the same per-pixel values as a full mesh.
+    ys = np.arange(height)[:, None]
+    xs = np.arange(width)
     dist2 = (ys - cy) ** 2 + (xs - cx) ** 2
     return intensity * np.exp(-dist2 / (2.0 * (radius / 2.0) ** 2))
 

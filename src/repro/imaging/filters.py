@@ -19,7 +19,24 @@ def pad_replicate(image: np.ndarray, top: int, bottom: int, left: int, right: in
     arr = ensure_gray(image)
     if min(top, bottom, left, right) < 0:
         raise ImageError("padding amounts must be non-negative")
-    return np.pad(arr, ((top, bottom), (left, right)), mode="edge")
+    return _replicate(arr, top, bottom, left, right)
+
+
+def _replicate(arr: np.ndarray, top: int, bottom: int, left: int, right: int) -> np.ndarray:
+    """Grow the two leading axes of ``arr`` by copies of its edge samples.
+
+    Equal to ``np.pad(mode="edge")`` on those axes, for any amount, even
+    one wider than the array, without ``np.pad``'s per-call set-up.
+    """
+    height, width = arr.shape[:2]
+    out = np.empty((top + height + bottom, left + width + right) + arr.shape[2:])
+    rows = slice(top, top + height)
+    out[rows, left : left + width] = arr
+    out[rows, :left] = arr[:, :1]
+    out[rows, left + width :] = arr[:, -1:]
+    out[:top] = out[top : top + 1]
+    out[top + height :] = out[top + height - 1 : top + height]
+    return out
 
 
 def convolve2d(image: np.ndarray, kernel: np.ndarray) -> np.ndarray:
@@ -28,7 +45,15 @@ def convolve2d(image: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     The kernel is flipped (true convolution).  Kernel sides must be odd so
     the output aligns with the input grid.
     """
-    arr = ensure_gray(image)
+    return _convolve(ensure_gray(image), kernel)
+
+
+def _convolve(arr: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """:func:`convolve2d` over the two leading axes of a float64 array.
+
+    Trailing axes are channels: each is bitwise equal to convolving that
+    plane alone.
+    """
     ker = np.asarray(kernel, dtype=np.float64)
     if ker.ndim != 2:
         raise ImageError(f"kernel must be 2-D, got shape {ker.shape}")
@@ -36,22 +61,32 @@ def convolve2d(image: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     if kh % 2 == 0 or kw % 2 == 0:
         raise ImageError(f"kernel sides must be odd, got {ker.shape}")
     ry, rx = kh // 2, kw // 2
-    padded = pad_replicate(arr, ry, ry, rx, rx)
+    padded = _replicate(arr, ry, ry, rx, rx)
     flipped = ker[::-1, ::-1]
-    height, width = arr.shape
+    height, width = arr.shape[:2]
     out = np.zeros_like(arr)
+    term = np.empty_like(arr)
     # Accumulate shifted copies; O(kh*kw) vectorised passes beats a pixel loop.
     for dy in range(kh):
         for dx in range(kw):
-            out += flipped[dy, dx] * padded[dy : dy + height, dx : dx + width]
+            np.multiply(padded[dy : dy + height, dx : dx + width], flipped[dy, dx], out=term)
+            out += term
     return out
 
 
 def convolve_separable(image: np.ndarray, ky: np.ndarray, kx: np.ndarray) -> np.ndarray:
-    """Convolution with a separable kernel given as column and row vectors."""
+    """Convolution with a separable kernel given as column and row vectors.
+
+    Accepts a 2-D plane or an (H, W, C) image; each channel of the result
+    is bitwise equal to convolving that channel alone.
+    """
+    arr = np.asarray(image)
+    if arr.ndim not in (2, 3) or arr.shape[0] == 0 or arr.shape[1] == 0:
+        raise ImageError(f"image must be (H, W) or (H, W, C) and non-empty, got shape {arr.shape}")
+    arr = arr.astype(np.float64, copy=False)
     col = np.asarray(ky, dtype=np.float64).reshape(-1, 1)
     row = np.asarray(kx, dtype=np.float64).reshape(1, -1)
-    return convolve2d(convolve2d(image, col), row)
+    return _convolve(_convolve(arr, col), row)
 
 
 def gaussian_kernel1d(sigma: float, radius: int | None = None) -> np.ndarray:
@@ -66,7 +101,8 @@ def gaussian_kernel1d(sigma: float, radius: int | None = None) -> np.ndarray:
 
 
 def gaussian_blur(image: np.ndarray, sigma: float) -> np.ndarray:
-    """Separable Gaussian blur with edge replication."""
+    """Separable Gaussian blur with edge replication, of a plane or of each
+    channel of an (H, W, C) image."""
     taps = gaussian_kernel1d(sigma)
     return convolve_separable(image, taps, taps)
 

@@ -160,7 +160,8 @@ class DeepBeliefNetwork:
                 delta_h = back * act * (1.0 - act)
                 grad_w = activations[idx].T @ delta_h
                 grad_b = delta_h.sum(axis=0)
-                back = delta_h @ self.rbms[idx].weights.T
+                if idx:  # the input layer passes no error further down
+                    back = delta_h @ self.rbms[idx].weights.T
                 self.rbms[idx].weights -= rate * grad_w
                 self.rbms[idx].hidden_bias -= rate * grad_b
         return losses

@@ -26,14 +26,16 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    """Elementwise logistic function, stable for large |x|."""
+    """Elementwise logistic function, stable for large |x|.
+
+    With ``e = exp(-|x|)`` it is ``1/(1+e)`` where ``x >= 0`` and
+    ``e/(1+e)`` elsewhere: one ``exp`` pass and no boolean indexing, and
+    per element the value of each branch evaluated on its own mask.
+    """
     arr = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(arr)
-    pos = arr >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-arr[pos]))
-    expx = np.exp(arr[~pos])
-    out[~pos] = expx / (1.0 + expx)
-    return out
+    # min(x, -x) is -|x|, and a NaN stays the NaN the e/(1+e) branch reads.
+    e = np.exp(np.minimum(arr, -arr))
+    return np.where(arr >= 0, 1.0, e) / (1.0 + e)
 
 
 def one_hot(labels: np.ndarray, n_classes: int) -> np.ndarray:

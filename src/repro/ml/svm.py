@@ -86,9 +86,18 @@ class LinearSvm:
             upper = np.inf
             diag = 1.0 / (2.0 * cfg.c)
 
-        sq_norm = np.einsum("ij,ij->i", x, x) + diag
-        alpha = np.zeros(n)
+        # The per-coordinate loop runs on Python floats, which are the same
+        # IEEE doubles as the array elements they replace, with the same
+        # operations in the same order, so the solution is bitwise that of
+        # the loop on numpy scalars.  ``rows[i].dot(w)`` is the BLAS dot
+        # ``x[i] @ w`` calls, at less call overhead; the update multiplies
+        # into one buffer and then adds, never a fused axpy.
+        rows = list(x)
+        y_i = y.tolist()
+        sq_norm = (np.einsum("ij,ij->i", x, x) + diag).tolist()
+        alpha = [0.0] * n
         w = np.zeros(x.shape[1])
+        step = np.empty_like(w)
         epochs = 0
         pg_spread = np.inf
         # Shrinking bounds on the projected gradient, as in LibLINEAR.
@@ -99,28 +108,36 @@ class LinearSvm:
             rng.shuffle(active)
             pg_max, pg_min = -np.inf, np.inf
             survivors = []
-            for i in active:
-                grad = y[i] * (x[i] @ w) - 1.0 + diag * alpha[i]
+            for i in active.tolist():
+                old = alpha[i]
+                grad = y_i[i] * float(rows[i].dot(w)) - 1.0 + diag * old
                 # Projected gradient.
-                if alpha[i] == 0.0:
+                if old == 0.0:
                     if grad > pg_max_old:
                         continue  # shrink
-                    pg = min(grad, 0.0)
-                elif alpha[i] >= upper:
+                    pg = 0.0 if grad > 0.0 else grad
+                elif old >= upper:
                     if grad < pg_min_old:
                         continue  # shrink
-                    pg = max(grad, 0.0)
+                    pg = 0.0 if grad < 0.0 else grad
                 else:
                     pg = grad
                 survivors.append(i)
-                pg_max = max(pg_max, pg)
-                pg_min = min(pg_min, pg)
+                if pg > pg_max:
+                    pg_max = pg
+                if pg < pg_min:
+                    pg_min = pg
                 if abs(pg) > 1e-14:
-                    old = alpha[i]
-                    alpha[i] = min(max(old - grad / sq_norm[i], 0.0), upper)
-                    delta = (alpha[i] - old) * y[i]
+                    new = old - grad / sq_norm[i]
+                    if new < 0.0:
+                        new = 0.0
+                    if new > upper:
+                        new = upper
+                    alpha[i] = new
+                    delta = (new - old) * y_i[i]
                     if delta != 0.0:
-                        w += delta * x[i]
+                        np.multiply(rows[i], delta, out=step)
+                        w += step
             pg_spread = pg_max - pg_min
             if pg_spread <= cfg.tolerance:
                 if len(survivors) == n:
@@ -146,7 +163,7 @@ class LinearSvm:
                 "c": cfg.c,
                 "epochs": epochs,
                 "pg_spread": float(pg_spread),
-                "n_support": int(np.count_nonzero(alpha > 1e-12)),
+                "n_support": sum(a > 1e-12 for a in alpha),
                 "n_train": n,
                 "n_features": d,
             },

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.adaptive.controller import ControllerConfig
 from repro.adaptive.sensor import LightSensor, LuxTrace, sunset_trace, tunnel_trace, urban_evening_trace
 from repro.core.system import AdaptiveDetectionSystem, SystemConfig
 from repro.datasets.lighting import LightingCondition
@@ -118,6 +119,33 @@ class TestInitialCondition:
         assert system.soc.vehicle_model == "dusk"
         assert report.model_swaps == [] and report.frames_degraded == 0
         assert not any("model swap" in r.message for r in system.soc.trace.records)
+
+
+class TestChangeDuringReconfiguration:
+    """A switch that lands while the partition reconfigures is not lost."""
+
+    def test_dip_shorter_than_a_reconfiguration_ends_on_day_dusk(self):
+        # No dwell and a 10 ms sensor: dusk -> dark starts the 20.5 ms load
+        # of the dark image, and dark -> dusk arrives 10 ms into it.
+        config = SystemConfig(
+            controller=ControllerConfig(min_dwell_s=0.0),
+            sensor_period_s=0.01,
+            initial_condition=LightingCondition.DUSK,
+        )
+        system = AdaptiveDetectionSystem(config)
+        trace = LuxTrace(
+            points=((0.0, 20.0), (0.1, 20.0), (0.101, 0.8), (0.11, 0.8), (0.111, 20.0), (2.0, 20.0))
+        )
+        report = system.run_drive(trace, duration_s=2.0, sensor=LightSensor(trace, noise_rel=0.0))
+        assert [c.new for c in report.condition_changes] == [
+            LightingCondition.DARK,
+            LightingCondition.DUSK,
+        ]
+        assert [r.bitstream for r in report.reconfigurations if r.ok] == ["dark", "day_dusk"]
+        assert system.controller.condition is LightingCondition.DUSK
+        assert system.soc.vehicle.configuration == "day_dusk"
+        assert system.soc.vehicle_model == "dusk"
+        assert report.frames[-1].vehicle_configuration == "day_dusk"
 
 
 class TestEdgeCases:

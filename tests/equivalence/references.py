@@ -1,4 +1,4 @@
-"""Per-window reference scans: the oracles the batched hot paths are pinned to.
+"""Straightforward oracles the fast paths are pinned to, bit for bit.
 
 Production code has one scan path per pipeline: ``scan_windows`` gathers
 and scores windows in one ``decision_batch`` call, and
@@ -7,6 +7,11 @@ and scores windows in one ``decision_batch`` call, and
 here — slice, score, threshold, one window at a time — and
 :func:`reference_scans` swaps them in for the hot path, so a differential
 test runs one detector with and without it and compares the bytes.
+
+The detector set-up kernels have oracles here too: the dual coordinate
+descent loop on numpy arrays (:func:`svm_train_reference`), the masked
+logistic (:func:`sigmoid_reference`) and the ``np.pad``-based convolution
+(:func:`convolve2d_reference`).
 """
 
 from __future__ import annotations
@@ -17,12 +22,15 @@ from typing import Iterator
 import numpy as np
 import pytest
 
-from repro.errors import PipelineError
+from repro.errors import ImageError, PipelineError
 from repro.features.hog import HogDescriptor
 from repro.imaging.geometry import Rect
-from repro.ml.linear import LinearModel
+from repro.imaging.image import ensure_gray
+from repro.ml.linear import LinearModel, validate_training_set
+from repro.ml.svm import SvmConfig
 from repro.pipelines import day_dusk, pedestrian
 from repro.pipelines.dark import DBN_STRIDE, DBN_WINDOW, DarkVehicleDetector
+from repro.rng import make_rng
 
 
 def scan_windows_reference(
@@ -81,3 +89,130 @@ def reference_scans() -> Iterator[None]:
         patch.setattr(pedestrian, "scan_windows", scan_windows_reference)
         patch.setattr(DarkVehicleDetector, "dbn_grid", dbn_grid_reference)
         yield
+
+
+# Detector set-up kernels ----------------------------------------------------
+
+
+def svm_train_reference(
+    config: SvmConfig,
+    features: np.ndarray,
+    labels: np.ndarray,
+    name: str = "svm",
+    events: list[str] | None = None,
+) -> LinearModel:
+    """LibLINEAR's dual coordinate descent with every quantity a numpy value.
+
+    ``alpha``, ``y`` and ``sq_norm`` are arrays indexed per coordinate, and
+    the ``w`` update is ``w += delta * x[i]``.  ``events``, when given,
+    collects "shrink" and "reactivate" as the solver takes those steps.
+    """
+    events = [] if events is None else events
+    x, y = validate_training_set(features, labels)
+    cfg = config
+    n, d = x.shape
+    if cfg.bias_scale > 0:
+        x = np.hstack([x, np.full((n, 1), cfg.bias_scale)])
+    rng = make_rng(cfg.seed)
+
+    if cfg.loss == "l1":
+        upper = cfg.c
+        diag = 0.0
+    else:  # l2 loss
+        upper = np.inf
+        diag = 1.0 / (2.0 * cfg.c)
+
+    sq_norm = np.einsum("ij,ij->i", x, x) + diag
+    alpha = np.zeros(n)
+    w = np.zeros(x.shape[1])
+    epochs = 0
+    pg_spread = np.inf
+    pg_max_old, pg_min_old = np.inf, -np.inf
+    active = np.arange(n)
+    for epoch in range(cfg.max_iter):
+        epochs = epoch + 1
+        rng.shuffle(active)
+        pg_max, pg_min = -np.inf, np.inf
+        survivors = []
+        for i in active:
+            grad = y[i] * (x[i] @ w) - 1.0 + diag * alpha[i]
+            if alpha[i] == 0.0:
+                if grad > pg_max_old:
+                    events.append("shrink")
+                    continue
+                pg = min(grad, 0.0)
+            elif alpha[i] >= upper:
+                if grad < pg_min_old:
+                    events.append("shrink")
+                    continue
+                pg = max(grad, 0.0)
+            else:
+                pg = grad
+            survivors.append(i)
+            pg_max = max(pg_max, pg)
+            pg_min = min(pg_min, pg)
+            if abs(pg) > 1e-14:
+                old = alpha[i]
+                alpha[i] = min(max(old - grad / sq_norm[i], 0.0), upper)
+                delta = (alpha[i] - old) * y[i]
+                if delta != 0.0:
+                    w += delta * x[i]
+        pg_spread = pg_max - pg_min
+        if pg_spread <= cfg.tolerance:
+            if len(survivors) == n:
+                break
+            events.append("reactivate")
+            active = np.arange(n)
+            pg_max_old, pg_min_old = np.inf, -np.inf
+            continue
+        active = np.asarray(survivors if survivors else range(n))
+        pg_max_old = pg_max if pg_max > 0 else np.inf
+        pg_min_old = pg_min if pg_min < 0 else -np.inf
+
+    if cfg.bias_scale > 0:
+        weights, bias = w[:-1], float(w[-1] * cfg.bias_scale)
+    else:
+        weights, bias = w, 0.0
+    return LinearModel(
+        weights=weights,
+        bias=bias,
+        meta={
+            "name": name,
+            "solver": f"dual-cd-{cfg.loss}",
+            "c": cfg.c,
+            "epochs": epochs,
+            "pg_spread": float(pg_spread),
+            "n_support": int(np.count_nonzero(alpha > 1e-12)),
+            "n_train": n,
+            "n_features": d,
+        },
+    )
+
+
+def sigmoid_reference(x: np.ndarray) -> np.ndarray:
+    """The logistic by boolean masks: ``1/(1+exp(-x))`` where ``x >= 0``."""
+    arr = np.asarray(x, dtype=np.float64)
+    out = np.empty_like(arr)
+    pos = arr >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-arr[pos]))
+    expx = np.exp(arr[~pos])
+    out[~pos] = expx / (1.0 + expx)
+    return out
+
+
+def convolve2d_reference(image: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """Same-size true convolution over an ``np.pad(mode="edge")`` copy."""
+    arr = ensure_gray(image)
+    ker = np.asarray(kernel, dtype=np.float64)
+    if ker.ndim != 2 or ker.shape[0] % 2 == 0 or ker.shape[1] % 2 == 0:
+        raise ImageError(f"kernel must be 2-D with odd sides, got shape {ker.shape}")
+    kh, kw = ker.shape
+    ry, rx = kh // 2, kw // 2
+    padded = np.pad(arr, ((ry, ry), (rx, rx)), mode="edge")
+    flipped = ker[::-1, ::-1]
+    height, width = arr.shape
+    out = np.zeros_like(arr)
+    for dy in range(kh):
+        for dx in range(kw):
+            out += flipped[dy, dx] * padded[dy : dy + height, dx : dx + width]
+    return out

@@ -7,6 +7,36 @@ import pytest
 
 from repro.imaging.components import blob_statistics, find_blobs, label_components
 
+ndimage = pytest.importorskip("scipy.ndimage")
+
+STRUCTURES = {
+    4: np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool),
+    8: np.ones((3, 3), dtype=bool),
+}
+
+
+def snake(height: int, width: int) -> np.ndarray:
+    """Full rows joined alternately at the right and left end: one region
+    whose path doubles back on every other row."""
+    mask = np.zeros((height, width), dtype=bool)
+    mask[::2] = True
+    for r in range(1, height, 2):
+        mask[r, -1 if (r // 2) % 2 == 0 else 0] = True
+    return mask
+
+
+def differential_masks() -> list[tuple[str, np.ndarray]]:
+    rng = np.random.default_rng(11)
+    masks = []
+    for shape in [(1, 1), (1, 40), (40, 1), (7, 9), (56, 103)]:
+        for density in (0.05, 0.3, 0.6, 0.9):
+            masks.append((f"random{density}-{shape}", rng.random(shape) < density))
+        masks.append((f"checkerboard-{shape}", np.indices(shape).sum(axis=0) % 2 == 0))
+        masks.append((f"snake-{shape}", snake(*shape)))
+        masks.append((f"snake-transposed-{shape}", snake(*shape[::-1]).T))
+        masks.append((f"full-{shape}", np.ones(shape, dtype=bool)))
+    return masks
+
 
 class TestLabeling:
     def test_empty_mask(self):
@@ -55,6 +85,22 @@ class TestLabeling:
         assert count == 1
 
 
+@pytest.mark.equivalence
+class TestAgainstScipy:
+    """The run labeller numbers regions as ``scipy.ndimage.label`` does."""
+
+    @pytest.mark.parametrize("connectivity", [4, 8])
+    @pytest.mark.parametrize(
+        "name, mask", differential_masks(), ids=[n for n, _ in differential_masks()]
+    )
+    def test_labels_and_count_equal(self, name, mask, connectivity):
+        labels, count = label_components(mask, connectivity=connectivity)
+        want, want_count = ndimage.label(mask, structure=STRUCTURES[connectivity])
+        assert count == want_count
+        assert labels.dtype == np.int64
+        assert np.array_equal(labels, want)
+
+
 class TestBlobStats:
     def test_bbox_and_centroid(self):
         mask = np.zeros((8, 8), dtype=bool)
@@ -83,6 +129,27 @@ class TestBlobStats:
     def test_blob_statistics_empty(self):
         labels = np.zeros((3, 3), dtype=np.int64)
         assert blob_statistics(labels, 0) == []
+
+    def test_labels_without_pixels_get_no_blob(self):
+        labels = np.zeros((4, 6), dtype=np.int64)
+        labels[0, 0:2] = 1
+        labels[3, 3:6] = 3
+        blobs = blob_statistics(labels, 3)
+        assert [b.label for b in blobs] == [1, 3]
+        assert blobs[1].centroid == (4.0, 3.0) and blobs[1].bbox.w == 3
+
+    def test_statistics_match_per_label_formulas(self):
+        rng = np.random.default_rng(5)
+        labels, count = label_components(rng.random((30, 40)) < 0.4)
+        labels = np.where(rng.random(labels.shape) < 0.7, labels, 0)
+        blobs = blob_statistics(labels, count)
+        assert [b.label for b in blobs] == sorted(set(np.unique(labels).tolist()) - {0})
+        for blob in blobs:
+            ys, xs = np.nonzero(labels == blob.label)
+            assert blob.area == ys.size
+            assert blob.centroid == (float(xs.mean()), float(ys.mean()))
+            assert (blob.bbox.x, blob.bbox.y) == (xs.min(), ys.min())
+            assert (blob.bbox.w, blob.bbox.h) == (xs.max() - xs.min() + 1, ys.max() - ys.min() + 1)
 
     def test_aspect(self):
         mask = np.zeros((6, 10), dtype=bool)

@@ -1,8 +1,10 @@
-"""Import-cost guard: the drive and fleet entry points must not pull in scipy.
+"""Import-cost guard: the drive and fleet entry points, and dark detection,
+must not pull in scipy.
 
 ``import scipy.ndimage`` alone takes about as long as a fleet run's whole
-set-up, and importing it when a detector is built adds ~18 MB of resident
-memory.  Connected-component labelling imports it lazily, on first use.
+set-up and adds ~27 MB of resident memory.  Connected-component labelling
+is numpy-only, so neither importing the system nor running the dark
+pipeline on a frame loads it; scipy is a test-only dependency.
 """
 
 from __future__ import annotations
@@ -15,16 +17,36 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_worker_and_system_imports_leave_scipy_unloaded():
+def scipy_modules_after(code: str) -> str:
+    """Run ``code`` in a fresh interpreter; the scipy modules it loaded."""
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO_ROOT / "src") + os.pathsep + env.get("PYTHONPATH", "")
-    code = (
-        "import sys\n"
-        "import repro.fleet.worker, repro.core.system\n"
-        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
-    )
+    code += "\nprint(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
     result = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "[]"
+    return result.stdout.strip().splitlines()[-1]
+
+
+def test_worker_and_system_imports_leave_scipy_unloaded():
+    assert scipy_modules_after("import sys\nimport repro.fleet.worker, repro.core.system") == "[]"
+
+
+def test_dark_detection_leaves_scipy_unloaded():
+    code = (
+        "import sys\n"
+        "from repro.datasets.lighting import LightingCondition\n"
+        "from repro.datasets.scene import render_condition_scene\n"
+        "from repro.datasets.synthetic import make_taillight_windows\n"
+        "from repro.pipelines.dark import DarkStageTrace, DarkVehicleDetector\n"
+        "detector = DarkVehicleDetector()\n"
+        "detector.train(*make_taillight_windows(n_per_class=40, seed=3))\n"
+        "frame = render_condition_scene(\n"
+        "    LightingCondition.DARK, seed=4, n_vehicles=2, height=180, width=320\n"
+        ").rgb\n"
+        "trace = DarkStageTrace()\n"
+        "detector.detect(frame, trace=trace)\n"
+        "assert trace.class_grid is not None and trace.class_grid.any(), 'no DBN hits to label'\n"
+    )
+    assert scipy_modules_after(code) == "[]"
