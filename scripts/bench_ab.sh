@@ -9,7 +9,9 @@
 # Exits with the status of `python3 -m bench.compare base... -- head...`:
 # 1 when a workload's end-to-end metric (p50/p90 latency, throughput,
 # set-up, peak RSS) is worse than the base by more than its BENCHMARK.json
-# bound with the quartile spread of both sides inside that bound.  A
+# bound with the quartile spread of both sides inside that bound.  It also
+# exits 1 when the compare prints `detections differ:`, i.e. a workload's
+# detections digest for some seed is not the same on both sides.  A
 # benchmark run that fails exits non-zero before the compare.
 #
 # Five pairs: sized in PERF.md ("The regression gate") by self-compares
@@ -49,4 +51,11 @@ for i in "${!SEEDS[@]}"; do
     fi
 done
 
-python3 -m bench.compare "$tmp"/base-seed*.json -- "$tmp"/head-seed*.json
+status=0
+python3 -m bench.compare "$tmp"/base-seed*.json -- "$tmp"/head-seed*.json \
+    | tee "$tmp/compare.txt" || status=$?
+if grep -q '^detections differ:' "$tmp/compare.txt"; then
+    echo "bench_ab.sh: detections differ between base and head" >&2
+    exit 1
+fi
+exit "$status"

@@ -53,7 +53,7 @@ else
     echo "== bench_ab.sh: skipped (--fast)"
 fi
 
-echo "== pytest -m equivalence (run_drive and the pixel detector as one drive loop; hot scans vs per-window test oracles; the HOG front end shared by both partitions vs an empty memo; colour split, luma bands and threshold histogram vs plain formulas; SVM, DBN logistic and crop-blur trainers vs straightforward oracles; run labeller vs scipy.ndimage.label; byte for byte)"
+echo "== pytest -m equivalence (run_drive and the pixel detector as one drive loop; hot scans vs per-window test oracles; the HOG front end shared by both partitions vs an empty memo; colour split, luma bands and threshold histogram vs plain formulas; SVM, DBN logistic and crop-blur trainers vs straightforward oracles; run labeller vs scipy.ndimage.label; Rect.iou and match_detections vs oracles; sim-only drive surface vs golden pins; byte for byte)"
 PYTHONPATH=src python -m pytest -x -q -m equivalence || status=1
 
 echo "== repro incident smoke (flight recorder: induce, bundle, replay)"

@@ -1,10 +1,12 @@
-"""System core: the adaptive detection system (paper Fig. 6 + control loop)."""
+"""System core: the adaptive detection system (paper Fig. 6 + control loop).
 
-from repro.core.functional import (
-    AdaptiveVehicleDetector,
-    FrameResult,
-    FunctionalConfig,
-)
+The pixel stage (:mod:`repro.core.functional`) loads on first use of one of
+its names, so importing the timing-only system does not import the
+detection pipelines, HOG features or classifiers.
+"""
+
+from typing import TYPE_CHECKING, Any
+
 from repro.core.spec import (
     CHAOS_MODES,
     TRACE_FACTORIES,
@@ -23,6 +25,24 @@ from repro.core.system import (
     SystemConfig,
     run_drive_spec,
 )
+
+if TYPE_CHECKING:
+    from repro.core.functional import (
+        AdaptiveVehicleDetector,
+        FrameResult,
+        FunctionalConfig,
+    )
+
+_FUNCTIONAL = frozenset({"AdaptiveVehicleDetector", "FrameResult", "FunctionalConfig"})
+
+
+def __getattr__(name: str) -> Any:
+    if name in _FUNCTIONAL:
+        from repro.core import functional
+
+        return getattr(functional, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "AdaptiveDetectionSystem",

@@ -125,11 +125,23 @@ class Rect:
 
     def iou(self, other: "Rect") -> float:
         """Intersection-over-union in [0, 1]."""
-        inter = self.intersection(other)
-        if inter is None:
+        # :meth:`intersection` and :attr:`area` spelled out, so no Rect is
+        # built: ``b if b > a else a`` is ``max(a, b)`` and ``b if b < a
+        # else a`` is ``min(a, b)``, ties and NaNs included.
+        x, y, ox, oy = self.x, self.y, other.x, other.y
+        x1 = ox if ox > x else x
+        y1 = oy if oy > y else y
+        x2, ox2 = x + self.w, ox + other.w
+        y2, oy2 = y + self.h, oy + other.h
+        if ox2 < x2:
+            x2 = ox2
+        if oy2 < y2:
+            y2 = oy2
+        if x2 <= x1 or y2 <= y1:
             return 0.0
-        union = self.area + other.area - inter.area
-        return inter.area / union
+        inter = (x2 - x1) * (y2 - y1)
+        union = self.w * self.h + other.w * other.h - inter
+        return inter / union
 
     def center_distance(self, other: "Rect") -> float:
         """Euclidean distance between box centers."""

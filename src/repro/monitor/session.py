@@ -246,6 +246,8 @@ class Monitor:
         self._frames = 0
         self._recent_events: list[dict] = []
         self._metric_last: dict[str, float] = {}
+        #: Counter series -> its ``_metric_deltas`` key, formatted once.
+        self._metric_keys: dict[Any, str] = {}
 
     @classmethod
     def recording(
@@ -597,17 +599,23 @@ class Monitor:
         if not self.telemetry.enabled:
             return {}
         deltas: dict[str, float] = {}
+        keys = self._metric_keys
+        last_values = self._metric_last
         for series in self.telemetry.metrics.series():
             if series.kind != "counter":
                 continue
-            key = series.name
-            if series.labels:
-                labels = ",".join(f"{k}={v}" for k, v in sorted(series.labels.items()))
-                key = f"{series.name}{{{labels}}}"
-            last = self._metric_last.get(key, 0.0)
-            if series.value != last:
-                deltas[key] = series.value - last
-            self._metric_last[key] = series.value
+            key = keys.get(series)
+            if key is None:
+                key = series.name
+                if series.labels:
+                    labels = ",".join(f"{k}={v}" for k, v in sorted(series.labels.items()))
+                    key = f"{series.name}{{{labels}}}"
+                keys[series] = key
+            value = series.value
+            last = last_values.get(key, 0.0)
+            if value != last:
+                deltas[key] = value - last
+            last_values[key] = value
         return deltas
 
     def summary(self) -> dict:

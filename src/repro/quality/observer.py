@@ -42,6 +42,10 @@ if TYPE_CHECKING:
 #: IoU above which a modelled detection counts as localising its truth box.
 MATCH_IOU_THRESHOLD = 0.5
 
+#: Lateral lane offsets of a ground-truth vehicle, as a fraction of the
+#: frame width at the near edge of the road.
+LANES = (-0.13, 0.0, 0.13)
+
 #: Buckets for the ``detection_iou`` histogram: all matched IoUs land in
 #: [MATCH_IOU_THRESHOLD, 1], so the buckets resolve that band.
 DETECTION_IOU_BUCKETS = (0.5, 0.6, 0.7, 0.8, 0.9, 0.95)
@@ -279,7 +283,7 @@ class ModelQualityObserver:
             fp=len(unmatched_d),
             fn=len(unmatched_t),
             matched_ious=tuple(
-                round(truths[ti].iou(detections[di]), 6) for ti, di in matches
+                _round6(truths[ti].iou(detections[di])) for ti, di in matches
             ),
             truths=len(truths),
             detections=len(detections),
@@ -295,11 +299,12 @@ class ModelQualityObserver:
         fill_far, fill_near = cfg.vehicle_fill
         n_vehicles = int(rng.integers(0, cfg.max_vehicles + 1))
         boxes: list[Rect] = []
-        for depth in sorted(rng.uniform(0.25, 1.0, size=n_vehicles)):
+        for depth in sorted(rng.uniform(0.25, 1.0, size=n_vehicles).tolist()):
             vw = width * (fill_far + (fill_near - fill_far) * depth)
             vh = vw * 0.62
             road_y = horizon_y + (height - horizon_y) * (0.15 + 0.8 * depth)
-            lane = float(rng.choice([-0.13, 0.0, 0.13]))
+            # The draw ``rng.choice(LANES)`` makes, without building an array.
+            lane = LANES[int(rng.integers(len(LANES)))]
             center_x = width / 2.0 + lane * width * 2.2 * (1.0 - 0.5 * depth)
             boxes.append(Rect(center_x - vw / 2.0, road_y - vh, vw, vh))
         return boxes
@@ -363,6 +368,13 @@ class ModelQualityObserver:
         """
         check_quality_event_kind(kind)
         self.events.append({"kind": kind, **attrs})
+
+
+def _round6(value: float) -> float:
+    """``value`` to six decimals the way numpy rounds: scale, round half to
+    even, unscale.  Python's ``round(value, 6)`` rounds the exact decimal
+    value instead and differs from it on near-ties."""
+    return round(value * 1e6) / 1e6
 
 
 def observer_from_provenance(data: dict) -> ModelQualityObserver:

@@ -5,7 +5,7 @@ truth: TP/FP/FN counts, the matched IoUs, and the condition split the
 paper's Table I reports by.  Records fold into a per-drive summary dict
 (:func:`fold_records`), drive summaries merge into fleet-level sections
 (:func:`merge_summaries`) — both pure integer/float arithmetic on top of
-:class:`~repro.pipelines.evaluation.ConfusionCounts`, whose ``+`` is
+:class:`~repro.confusion.ConfusionCounts`, whose ``+`` is
 associative and commutative, so every aggregation order lands on the
 same bytes.
 """
@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from repro.pipelines.evaluation import ConfusionCounts
+from repro.confusion import ConfusionCounts
 
 #: Schema tag carried by every per-drive quality summary.
 QUALITY_SUMMARY_SCHEMA = "repro.quality/drive"

@@ -248,6 +248,11 @@ class MetricsRegistry:
 
     def __init__(self) -> None:
         self._series: dict[tuple[str, str, tuple], Any] = {}
+        #: (kind, name, label items in call order) -> series, for labels
+        #: whose values are all ``str``: finding an existing series is one
+        #: dict lookup, with no label sort.  (A non-``str`` value equal to a
+        #: ``str`` would have to render as that ``str`` to be found here.)
+        self._found: dict[tuple, Any] = {}
 
     def _get(self, kind: str, name: str, labels: Mapping[str, Any], factory):
         key = (kind, name, _label_key(labels))
@@ -255,20 +260,31 @@ class MetricsRegistry:
         if series is None:
             series = factory()
             self._series[key] = series
+        if all(type(value) is str for value in labels.values()):
+            self._found[(kind, name, tuple(labels.items()))] = series
         return series
 
     def counter(self, name: str, **labels: Any) -> Counter:
-        return self._get("counter", name, labels, lambda: Counter(name, _as_str(labels)))
+        series = self._found.get(("counter", name, tuple(labels.items())))
+        if series is None:
+            series = self._get("counter", name, labels, lambda: Counter(name, _as_str(labels)))
+        return series
 
     def gauge(self, name: str, **labels: Any) -> Gauge:
-        return self._get("gauge", name, labels, lambda: Gauge(name, _as_str(labels)))
+        series = self._found.get(("gauge", name, tuple(labels.items())))
+        if series is None:
+            series = self._get("gauge", name, labels, lambda: Gauge(name, _as_str(labels)))
+        return series
 
     def histogram(
         self, name: str, bounds: Iterable[float] = DEFAULT_MS_BUCKETS, **labels: Any
     ) -> Histogram:
-        return self._get(
-            "histogram", name, labels, lambda: Histogram(name, _as_str(labels), bounds)
-        )
+        series = self._found.get(("histogram", name, tuple(labels.items())))
+        if series is None:
+            series = self._get(
+                "histogram", name, labels, lambda: Histogram(name, _as_str(labels), bounds)
+            )
+        return series
 
     def __len__(self) -> int:
         return len(self._series)

@@ -28,7 +28,7 @@ from typing import Any, Callable
 from repro.errors import ConfigurationError
 
 
-@dataclass
+@dataclass(slots=True)
 class SpanEvent:
     """A point-in-time occurrence inside (or outside) a span."""
 
@@ -40,7 +40,7 @@ class SpanEvent:
         return {"time_s": self.time_s, "name": self.name, "attrs": dict(self.attrs)}
 
 
-@dataclass
+@dataclass(slots=True)
 class Span:
     """One timed operation on the simulator and wall clocks.
 
@@ -285,7 +285,9 @@ class Tracer:
         """
         at = self.clock() if time_s is None else time_s
         if self._stack:
-            return self._stack[-1].add_event(name, at, **attrs)
+            event = SpanEvent(at, name, attrs)
+            self._stack[-1].events.append(event)
+            return event
         span = self._new_span(name, None, dict(attrs))
         span.start_s = at
         span.end_s = at

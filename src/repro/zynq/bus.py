@@ -24,7 +24,8 @@ reconfiguration path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import deque
+from dataclasses import dataclass
 from typing import Callable
 
 from repro.errors import BusError
@@ -82,7 +83,7 @@ class LinkSpec:
         return cycles / self.clock_hz
 
 
-@dataclass
+@dataclass(slots=True)
 class _LinkJob:
     n_bytes: int
     burst_beats: int | None
@@ -96,8 +97,10 @@ class BusLink:
     def __init__(self, sim: Simulator, spec: LinkSpec):
         self.sim = sim
         self.spec = spec
-        self._queue: list[_LinkJob] = []
+        self._queue: deque[_LinkJob] = deque()
         self._busy = False
+        #: The transfer occupying the link (None while idle).
+        self._job: _LinkJob | None = None
         self.bytes_moved = 0
         self.busy_time = 0.0
         self.jobs_completed = 0
@@ -119,19 +122,21 @@ class BusLink:
     def _start_next(self) -> None:
         if not self._queue:
             self._busy = False
+            self._job = None
             return
         self._busy = True
-        job = self._queue.pop(0)
+        job = self._job = self._queue.popleft()
         duration = self.spec.transfer_time(job.n_bytes, job.burst_beats)
         self.busy_time += duration
+        self.sim.schedule(duration, self._finish)
 
-        def finish() -> None:
-            self.bytes_moved += job.n_bytes
-            self.jobs_completed += 1
-            job.on_done()
-            self._start_next()
-
-        self.sim.schedule(duration, finish)
+    def _finish(self) -> None:
+        job = self._job
+        assert job is not None
+        self.bytes_moved += job.n_bytes
+        self.jobs_completed += 1
+        job.on_done()
+        self._start_next()
 
     @property
     def queue_depth(self) -> int:

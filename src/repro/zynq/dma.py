@@ -71,6 +71,7 @@ class DmaEngine:
         interrupts.register(self.irq_line)
         interrupts.register(self.error_line)
         self._inject_error_next = False
+        self._transfer: tuple = ()
 
     def inject_error(self) -> None:
         """Make the next transfer abort with a DMA error (failure testing)."""
@@ -92,17 +93,18 @@ class DmaEngine:
         if self.state is DmaState.ERROR:
             raise DmaError(f"{self.name}: in error state; reset() first")
         self.state = DmaState.BUSY
+        trace = self.trace
         span = None
-        if self.trace is not None:
-            if self.trace.tracer.enabled:
-                span = self.trace.tracer.begin(
+        if trace is not None:
+            if trace.tracer.enabled:
+                span = trace.tracer.begin(
                     "dma.transfer",
                     engine=self.name,
                     label=descriptor.label,
                     bytes=descriptor.n_bytes,
                     link=self.link.spec.name,
                 )
-            self.trace.emit(
+            trace.emit(
                 self.sim.now,
                 self.name,
                 "dma.start",
@@ -123,8 +125,8 @@ class DmaEngine:
                 stall_s = stall.magnitude
                 if span is not None:
                     span.add_event("dma.stall", self.sim.now, stall_ms=stall_s * 1e3)
-                if self.trace is not None:
-                    self.trace.emit(
+                if trace is not None:
+                    trace.emit(
                         self.sim.now,
                         self.name,
                         "dma.stall",
@@ -132,49 +134,53 @@ class DmaEngine:
                         label=descriptor.label,
                         stall_ms=stall_s * 1e3,
                     )
+        # An engine runs one transfer at a time, so the transfer's state
+        # lives on the engine until it completes or aborts.
+        self._transfer = (descriptor, inject, span, on_done, on_error)
+        self.sim.schedule(DMA_SETUP_TIME_S + stall_s, self._after_setup)
 
-        def after_setup() -> None:
-            if inject:
-                self.state = DmaState.ERROR
-                if self.trace is not None:
-                    self.trace.emit(
-                        self.sim.now,
-                        self.name,
-                        "dma.error",
-                        f"ERROR on {descriptor.label}",
-                        label=descriptor.label,
-                    )
-                    self.trace.tracer.end(span, outcome="error")
-                self.interrupts.raise_irq(self.error_line)
-                if on_error is not None:
-                    on_error()
-                return
-            self.link.request(
-                descriptor.n_bytes,
-                on_done=complete,
-                burst_beats=self.burst_beats,
-                label=f"{self.name}:{descriptor.label}",
-            )
-
-        def complete() -> None:
-            self.state = DmaState.IDLE
-            self.transfers_completed += 1
-            self.bytes_transferred += descriptor.n_bytes
+    def _after_setup(self) -> None:
+        descriptor, inject, span, _, on_error = self._transfer
+        if inject:
+            self.state = DmaState.ERROR
             if self.trace is not None:
                 self.trace.emit(
                     self.sim.now,
                     self.name,
-                    "dma.done",
-                    f"done {descriptor.label}",
+                    "dma.error",
+                    f"ERROR on {descriptor.label}",
                     label=descriptor.label,
-                    bytes=descriptor.n_bytes,
                 )
-                self.trace.tracer.end(span, outcome="ok")
-            self.interrupts.raise_irq(self.irq_line)
-            if on_done is not None:
-                on_done()
+                self.trace.tracer.end(span, outcome="error")
+            self.interrupts.raise_irq(self.error_line)
+            if on_error is not None:
+                on_error()
+            return
+        self.link.request(
+            descriptor.n_bytes,
+            on_done=self._complete,
+            burst_beats=self.burst_beats,
+            label=f"{self.name}:{descriptor.label}",
+        )
 
-        self.sim.schedule(DMA_SETUP_TIME_S + stall_s, after_setup)
+    def _complete(self) -> None:
+        descriptor, _, span, on_done, _ = self._transfer
+        self.state = DmaState.IDLE
+        self.transfers_completed += 1
+        self.bytes_transferred += descriptor.n_bytes
+        if self.trace is not None:
+            self.trace.emit(
+                self.sim.now,
+                self.name,
+                "dma.done",
+                f"done {descriptor.label}",
+                label=descriptor.label,
+                bytes=descriptor.n_bytes,
+            )
+            self.trace.tracer.end(span, outcome="ok")
+        self.interrupts.raise_irq(self.irq_line)
+        if on_done is not None:
+            on_done()
 
     def reset(self) -> None:
         """Clear an error state (soft reset through AXI-Lite)."""

@@ -1,7 +1,8 @@
 """Discrete-event simulation kernel.
 
-A minimal, deterministic event kernel: events are (time, sequence, callback)
-triples in a heap; ties in time break by scheduling order, so runs are fully
+A minimal, deterministic event kernel: events are ``(time, sequence,
+event)`` tuples in a heap, so the heap orders them with C tuple
+comparisons; ties in time break by scheduling order, so runs are fully
 reproducible.  Components schedule work with :meth:`Simulator.schedule` and
 communicate through plain Python calls at event time.
 """
@@ -10,47 +11,35 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro.errors import SimulationError
 from repro.telemetry.spans import NullTracer, Tracer
 
 
-@dataclass(order=True)
-class _Event:
-    time: float
-    sequence: int
-    callback: Callable[[], None] = field(compare=False)
-    cancelled: bool = field(compare=False, default=False)
-
-
 class EventHandle:
-    """Handle to a scheduled event; allows cancellation."""
+    """One scheduled event, and the handle that allows its cancellation."""
 
-    def __init__(self, event: _Event):
-        self._event = event
+    __slots__ = ("time", "callback", "cancelled")
+
+    def __init__(self, time: float, callback: Callable[[], None]):
+        #: Scheduled firing time (simulator seconds).
+        self.time = time
+        self.callback = callback
+        #: True once :meth:`cancel` was called.
+        self.cancelled = False
 
     def cancel(self) -> None:
         """Mark the event so the kernel skips it."""
-        self._event.cancelled = True
-
-    @property
-    def cancelled(self) -> bool:
-        """True once :meth:`cancel` was called."""
-        return self._event.cancelled
-
-    @property
-    def time(self) -> float:
-        """Scheduled firing time (simulator seconds)."""
-        return self._event.time
+        self.cancelled = True
 
 
 class Simulator:
     """Deterministic discrete-event simulator; time unit is the second."""
 
     def __init__(self) -> None:
-        self._queue: list[_Event] = []
+        self._queue: list[tuple[float, int, EventHandle]] = []
         self._sequence = 0
         self.now = 0.0
         self._running = False
@@ -60,25 +49,26 @@ class Simulator:
         """Schedule ``callback`` at ``now + delay_s`` (delay_s >= 0 seconds)."""
         if delay_s < 0:
             raise SimulationError(f"cannot schedule into the past (delay_s={delay_s})")
-        event = _Event(time=self.now + delay_s, sequence=self._sequence, callback=callback)
+        time = self.now + delay_s
+        event = EventHandle(time, callback)
+        heapq.heappush(self._queue, (time, self._sequence, event))
         self._sequence += 1
-        heapq.heappush(self._queue, event)
-        return EventHandle(event)
+        return event
 
     @property
     def pending(self) -> int:
         """Scheduled, not-yet-fired, not-cancelled events."""
-        return sum(1 for e in self._queue if not e.cancelled)
+        return sum(1 for _, _, e in self._queue if not e.cancelled)
 
     def step(self) -> bool:
         """Process one event; returns False when the queue is empty."""
         while self._queue:
-            event = heapq.heappop(self._queue)
+            time, _, event = heapq.heappop(self._queue)
             if event.cancelled:
                 continue
-            if event.time < self.now - 1e-15:
+            if time < self.now - 1e-15:
                 raise SimulationError("event queue corrupted: time went backwards")
-            self.now = max(self.now, event.time)
+            self.now = max(self.now, time)
             event.callback()
             self.events_processed += 1
             return True
@@ -99,22 +89,35 @@ class Simulator:
             self._running = False
 
     def run_until(self, time: float, max_events: int = 10_000_000) -> None:
-        """Run events with timestamps <= ``time``; advances now to ``time``."""
+        """Run events with timestamps <= ``time``; advances now to ``time``.
+
+        Cancelled events reaching the head of the queue are discarded
+        whatever their time.  The loop is :meth:`step`'s body inlined.
+        """
         if time < self.now:
             raise SimulationError(f"cannot run backwards to {time} (now={self.now})")
         if self._running:
             raise SimulationError("simulator is already running (re-entrant run_until())")
         self._running = True
+        queue = self._queue
+        heappop = heapq.heappop
         try:
             count = 0
-            while self._queue:
-                head = self._queue[0]
-                if head.cancelled:
-                    heapq.heappop(self._queue)
+            while queue:
+                head_time, _, event = queue[0]
+                if event.cancelled:
+                    heappop(queue)
                     continue
-                if head.time > time:
+                if head_time > time:
                     break
-                self.step()
+                heappop(queue)
+                now = self.now
+                if head_time < now - 1e-15:
+                    raise SimulationError("event queue corrupted: time went backwards")
+                if head_time > now:
+                    self.now = head_time
+                event.callback()
+                self.events_processed += 1
                 count += 1
                 if count > max_events:
                     raise SimulationError(f"exceeded {max_events} events; runaway simulation?")
@@ -123,7 +126,7 @@ class Simulator:
             self._running = False
 
 
-@dataclass
+@dataclass(slots=True)
 class TraceRecord:
     """One timestamped trace entry."""
 

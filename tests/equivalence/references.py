@@ -216,3 +216,37 @@ def convolve2d_reference(image: np.ndarray, kernel: np.ndarray) -> np.ndarray:
         for dx in range(kw):
             out += flipped[dy, dx] * padded[dy : dy + height, dx : dx + width]
     return out
+
+
+def iou_reference(a: Rect, b: Rect) -> float:
+    """IoU through the intersection ``Rect`` and the boxes' areas."""
+    inter = a.intersection(b)
+    if inter is None:
+        return 0.0
+    return inter.area / (a.area + b.area - inter.area)
+
+
+def match_detections_reference(
+    truths: list[Rect], detections: list[Rect], iou_threshold: float = 0.5
+) -> tuple[list[tuple[int, int]], list[int], list[int]]:
+    """Greedy matching by repeated search: take the best free pair, again.
+
+    "Best" is the highest IoU at or above the threshold, ties going to
+    the lower truth index, then the lower detection index.
+    """
+    matches: list[tuple[int, int]] = []
+    free_t, free_d = set(range(len(truths))), set(range(len(detections)))
+    while True:
+        best = None
+        for ti in sorted(free_t):
+            for di in sorted(free_d):
+                overlap = iou_reference(truths[ti], detections[di])
+                if overlap >= iou_threshold and (best is None or overlap > best[0]):
+                    best = (overlap, ti, di)
+        if best is None:
+            break
+        _, ti, di = best
+        matches.append((ti, di))
+        free_t.discard(ti)
+        free_d.discard(di)
+    return matches, sorted(free_t), sorted(free_d)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
 import pytest
 
 from repro.adaptive.policy import CONFIG_FOR_CONDITION
@@ -11,9 +12,11 @@ from repro.adaptive.sensor import LuxTrace
 from repro.datasets.lighting import LightingCondition
 from repro.errors import QualityError
 from repro.quality.observer import (
+    LANES,
     NULL_QUALITY,
     ModelQualityObserver,
     QualityModelConfig,
+    _round6,
     observer_from_provenance,
 )
 
@@ -118,6 +121,31 @@ class TestModelBehaviour:
         records = observe_n(observer, 40)
         assert len(records) == 10
         assert [r.index for r in records] == list(range(0, 40, 4))
+
+
+class TestModelDraws:
+    """The model draws on Python floats what it once drew through numpy."""
+
+    def test_lane_draw_consumes_the_stream_choice_consumes(self):
+        for seed in range(200):
+            by_choice, by_index = np.random.default_rng(seed), np.random.default_rng(seed)
+            for _ in range(20):
+                lane = LANES[int(by_index.integers(len(LANES)))]
+                assert lane == float(by_choice.choice(list(LANES)))
+                # Interleaved draws stay in step too.
+                assert by_index.uniform(0.25, 1.0) == by_choice.uniform(0.25, 1.0)
+
+    def test_round6_rounds_as_numpy_does(self):
+        # Near-ties of the sixth decimal, where numpy's scale-and-rint and
+        # Python's correctly rounded round(x, 6) part ways.
+        values = []
+        for k in range(500_000, 1_000_001, 997):
+            tie = (k + 0.5) / 1e6
+            values += [tie, np.nextafter(tie, 0.0), np.nextafter(tie, 1.0)]
+        values += np.random.default_rng(3).uniform(0.5, 1.0, 2_000).tolist()
+        for value in values:
+            assert _round6(float(value)) == round(np.float64(value), 6)
+        assert any(round(float(v), 6) != round(np.float64(v), 6) for v in values)
 
 
 class TestLifecycle:

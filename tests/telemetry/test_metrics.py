@@ -77,6 +77,28 @@ class TestRegistry:
         assert a is not other
         assert len(registry) == 2
 
+    def test_lookup_ignores_label_order_and_renders_values_as_str(self):
+        registry = MetricsRegistry()
+        a = registry.counter("hits", site="dma", engine="veh")
+        assert registry.counter("hits", engine="veh", site="dma") is a
+        assert registry.counter("hits", site="dma", engine="veh") is a
+        one = registry.counter("n", value=1)
+        assert registry.counter("n", value="1") is one
+        assert registry.counter("n", value=1) is one
+        # Equal as Python values, different as labels.
+        assert registry.counter("n", value=True) is not one
+        assert registry.counter("n", value=1.0) is not one
+        assert registry.counter("hits", site="dma") is not a
+        assert registry.gauge("hits", site="dma", engine="veh") is not a
+        assert [s.labels for s in registry.series()] == [
+            {"site": "dma", "engine": "veh"},
+            {"value": "1"},
+            {"value": "True"},
+            {"value": "1.0"},
+            {"site": "dma"},
+            {"site": "dma", "engine": "veh"},
+        ]
+
     def test_value_lookup(self):
         registry = MetricsRegistry()
         registry.counter("drops", detector="vehicle").inc(3)

@@ -1,10 +1,14 @@
 """Import-cost guard: the drive and fleet entry points, and dark detection,
-must not pull in scipy.
+must not pull in scipy, and the timing-only entry points not the pixel stack.
 
 ``import scipy.ndimage`` alone takes about as long as a fleet run's whole
 set-up and adds ~27 MB of resident memory.  Connected-component labelling
 is numpy-only, so neither importing the system nor running the dark
 pipeline on a frame loads it; scipy is a test-only dependency.
+
+A sim-only fleet drive renders no pixels, so importing the worker and the
+system loads none of the detection pipelines, HOG features or classifiers
+(``repro.core`` and ``repro.datasets`` load their pixel halves on first use).
 """
 
 from __future__ import annotations
@@ -17,11 +21,15 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
-def scipy_modules_after(code: str) -> str:
-    """Run ``code`` in a fresh interpreter; the scipy modules it loaded."""
+def modules_after(code: str, *packages: str) -> str:
+    """Run ``code`` in a fresh interpreter; the modules of ``packages`` it loaded."""
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO_ROOT / "src") + os.pathsep + env.get("PYTHONPATH", "")
-    code += "\nprint(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+    code += (
+        f"\npackages = {packages!r}\n"
+        "print(sorted(m for m in sys.modules if m in packages"
+        " or m.startswith(tuple(p + '.' for p in packages))))\n"
+    )
     result = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300
     )
@@ -29,8 +37,23 @@ def scipy_modules_after(code: str) -> str:
     return result.stdout.strip().splitlines()[-1]
 
 
+def scipy_modules_after(code: str) -> str:
+    """Run ``code`` in a fresh interpreter; the scipy modules it loaded."""
+    return modules_after(code, "scipy")
+
+
 def test_worker_and_system_imports_leave_scipy_unloaded():
     assert scipy_modules_after("import sys\nimport repro.fleet.worker, repro.core.system") == "[]"
+
+
+def test_worker_and_system_imports_leave_pixel_stack_unloaded():
+    loaded = modules_after(
+        "import sys\nimport repro.fleet.worker, repro.core.system",
+        "repro.pipelines",
+        "repro.features",
+        "repro.ml",
+    )
+    assert loaded == "[]"
 
 
 def test_dark_detection_leaves_scipy_unloaded():

@@ -90,6 +90,89 @@ class TestScheduling:
         assert len(fired) == len(delays)
 
 
+class TestKernelContract:
+    """The ordering and bookkeeping rules every SoC component relies on."""
+
+    def test_equal_times_run_in_scheduling_order_including_zero_delay(self, simulator):
+        order = []
+
+        def first():
+            order.append("first")
+            # Scheduled at the current time from inside a callback: runs
+            # after everything already queued for this instant.
+            simulator.schedule(0.0, lambda: order.append("nested"))
+
+        simulator.schedule(1.0, first)
+        simulator.schedule(1.0, lambda: order.append("second"))
+        simulator.schedule(1.0, lambda: order.append("third"))
+        simulator.run_until(1.0)
+        assert order == ["first", "second", "third", "nested"]
+        assert simulator.now == 1.0
+
+    def test_run_until_runs_events_stamped_exactly_at_the_boundary(self, simulator):
+        seen = []
+        simulator.schedule(0.5, lambda: seen.append(simulator.now))
+        simulator.schedule(0.5 + 1e-12, lambda: seen.append("late"))
+        simulator.run_until(0.5)
+        assert seen == [0.5]
+        assert simulator.pending == 1
+
+    def test_cancelled_head_on_the_boundary_is_skipped(self, simulator):
+        seen = []
+        head = simulator.schedule(1.0, lambda: seen.append("cancelled"))
+        simulator.schedule(1.0, lambda: seen.append("kept"))
+        head.cancel()
+        simulator.run_until(1.0)
+        assert seen == ["kept"]
+        assert simulator.events_processed == 1
+        assert simulator.now == 1.0
+
+    def test_pending_excludes_cancelled_events(self, simulator):
+        handles = [simulator.schedule(float(i), lambda: None) for i in range(4)]
+        handles[1].cancel()
+        handles[3].cancel()
+        assert simulator.pending == 2
+        simulator.run_until(0.0)
+        assert simulator.pending == 1
+
+    def test_handle_reports_time_and_cancellation(self, simulator):
+        simulator.run_until(2.0)
+        handle = simulator.schedule(0.25, lambda: None)
+        assert handle.time == 2.25
+        assert not handle.cancelled
+        handle.cancel()
+        assert handle.cancelled
+
+    def test_reentrant_run_until_raises(self, simulator):
+        errors = []
+
+        def nested():
+            try:
+                simulator.run_until(simulator.now + 1.0)
+            except SimulationError as exc:
+                errors.append(exc)
+
+        simulator.schedule(1.0, nested)
+        simulator.run_until(5.0)
+        assert len(errors) == 1
+        assert "re-entrant" in str(errors[0])
+        # The guard is released once the outer call returns.
+        simulator.run_until(6.0)
+        assert simulator.now == 6.0
+
+    def test_run_until_max_events_cap_trips(self, simulator):
+        def rearm():
+            simulator.schedule(0.0, rearm)
+
+        simulator.schedule(0.0, rearm)
+        with pytest.raises(SimulationError, match="exceeded 50 events"):
+            simulator.run_until(1.0, max_events=50)
+        # The trip releases the re-entrancy guard: a second call trips the
+        # cap again rather than reporting a re-entrant run.
+        with pytest.raises(SimulationError, match="exceeded 50 events"):
+            simulator.run_until(1.0, max_events=50)
+
+
 class TestTrace:
     def test_log_and_filter(self):
         trace = Trace()
