@@ -123,13 +123,6 @@ def _adaptive(args) -> str:
     return result.render() + f"\nshape checks: {result.shape_checks()}"
 
 
-def _tracking(args) -> str:
-    from repro.experiments.tracking_ext import run_tracking_extension
-
-    result = run_tracking_extension()
-    return result.render() + f"\nshape checks: {result.shape_checks()}"
-
-
 def _drive(args) -> str:
     from repro.adaptive.sensor import sunset_trace, tunnel_trace, urban_evening_trace
     from repro.core.system import AdaptiveDetectionSystem
@@ -256,7 +249,6 @@ COMMANDS: dict[str, tuple[Callable, str]] = {
     "ablations": (_ablations, "All five design-choice ablations"),
     "resources": (_resources, "Block-level resource breakdown of every design"),
     "adaptive": (_adaptive, "Extension: adaptive vs fixed pipelines end to end"),
-    "tracking": (_tracking, "Extension: temporal tracking on dark sequences"),
     "drive": (_drive, "Adaptive drive on the SoC model (supports --fault-plan)"),
 }
 

@@ -19,7 +19,6 @@ from repro.datasets.lighting import (
     LightingModel,
     condition_for_lux,
     lighting_for_condition,
-    lighting_for_lux,
 )
 
 if TYPE_CHECKING:
@@ -44,12 +43,6 @@ if TYPE_CHECKING:
         render_negative_crop,
         render_scene,
         render_vehicle_crop,
-    )
-    from repro.datasets.sequences import (
-        SequenceConfig,
-        VehicleTrackState,
-        render_sequence,
-        track_ground_truth,
     )
     from repro.datasets.synthetic import (
         SYSU_TEST_NEG,
@@ -95,10 +88,6 @@ _LAZY = {
     "render_negative_crop": "scene",
     "render_scene": "scene",
     "render_vehicle_crop": "scene",
-    "SequenceConfig": "sequences",
-    "VehicleTrackState": "sequences",
-    "render_sequence": "sequences",
-    "track_ground_truth": "sequences",
     "SYSU_TEST_NEG": "synthetic",
     "SYSU_TEST_POS": "synthetic",
     "SYSU_TEST_VERY_DARK_POS": "synthetic",
@@ -149,7 +138,6 @@ __all__ = [
     "SceneConfig",
     "SceneFrame",
     "SceneObject",
-    "SequenceConfig",
     "TAILLIGHT_CLASS_LARGE",
     "TAILLIGHT_CLASS_MEDIUM",
     "TAILLIGHT_CLASS_NAMES",
@@ -158,13 +146,11 @@ __all__ = [
     "UPM_TEST_NEG",
     "UPM_TEST_POS",
     "VehicleSpec",
-    "VehicleTrackState",
     "VehicleSprite",
     "apply_sensor_model",
     "condition_for_lux",
     "extract_window_samples",
     "lighting_for_condition",
-    "lighting_for_lux",
     "make_dark_crops",
     "make_iroads_like",
     "make_pedestrian_frames",
@@ -173,14 +159,12 @@ __all__ = [
     "make_upm_like",
     "random_pedestrian_spec",
     "random_vehicle_spec",
-    "track_ground_truth",
     "render_background",
     "render_condition_scene",
     "render_headlight_pair",
     "render_negative_crop",
     "render_pedestrian",
     "render_scene",
-    "render_sequence",
     "render_vehicle",
     "render_vehicle_crop",
 ]

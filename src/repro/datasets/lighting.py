@@ -14,7 +14,6 @@ unlit rural road < 1 lx.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 
 from repro.errors import DatasetError
@@ -142,41 +141,6 @@ def lighting_for_condition(condition: LightingCondition) -> LightingModel:
     return PRESETS[condition]
 
 
-def lighting_for_lux(lux: float) -> LightingModel:
-    """Interpolated photometric model for an arbitrary illuminance.
-
-    Interpolates ``ambient``/``sky``/``noise``/``contrast`` between the
-    presets on a log-lux axis, so a drive trace with a continuously falling
-    sun renders smoothly while the *condition* label still changes at the
-    regime boundaries.
-    """
-    condition = condition_for_lux(lux)
-    base = PRESETS[condition]
-    if condition is LightingCondition.DAY:
-        return base
-    if condition is LightingCondition.DUSK:
-        # Blend dusk -> day as lux rises toward the day boundary.
-        t = _log_blend(lux, DARK_LUX_UPPER, DUSK_LUX_UPPER)
-        other = DAY_LIGHTING
-    else:
-        # Blend dark -> dusk as lux rises toward the dusk boundary.
-        t = _log_blend(lux, 0.05, DARK_LUX_UPPER)
-        other = DUSK_LIGHTING
-    return LightingModel(
-        condition=condition,
-        ambient=_lerp(base.ambient, other.ambient, t),
-        sky_brightness=_lerp(base.sky_brightness, other.sky_brightness, t),
-        headlights_on=base.headlights_on,
-        taillights_on=base.taillights_on,
-        taillight_intensity=base.taillight_intensity,
-        road_lights=base.road_lights,
-        glow_scale=_lerp(base.glow_scale, other.glow_scale, t),
-        noise_sigma=_lerp(base.noise_sigma, other.noise_sigma, t),
-        contrast=_lerp(base.contrast, other.contrast, t),
-        blur_sigma=_lerp(base.blur_sigma, other.blur_sigma, t),
-    )
-
-
 # Per-sample lighting samplers ---------------------------------------------
 #
 # Real corpora are photometrically heterogeneous: UPM spans morning to late
@@ -260,14 +224,3 @@ SAMPLERS = {
 def sample_lighting(condition: LightingCondition, rng) -> LightingModel:
     """A randomly jittered lighting model for the given condition."""
     return SAMPLERS[condition](rng)
-
-
-def _lerp(a: float, b: float, t: float) -> float:
-    return a + (b - a) * t
-
-
-def _log_blend(lux: float, lo: float, hi: float) -> float:
-    """Position of lux in [lo, hi] on a log axis, clamped to [0, 1]."""
-    lux = max(lux, 1e-3)
-    t = (math.log10(lux) - math.log10(lo)) / (math.log10(hi) - math.log10(lo))
-    return min(max(t, 0.0), 1.0)

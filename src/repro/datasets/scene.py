@@ -39,17 +39,11 @@ from repro.rng import make_rng
 
 @dataclass
 class SceneObject:
-    """Ground truth for one object placed in a frame.
-
-    ``track_id`` is set by the sequence renderer (``datasets.sequences``) to
-    give objects stable identities across frames; single-frame renders leave
-    it ``None``.
-    """
+    """Ground truth for one object placed in a frame."""
 
     kind: str  # "vehicle" | "pedestrian" | "headlights"
     rect: Rect
     taillights: list[tuple[float, float]] = field(default_factory=list)
-    track_id: int | None = None
 
 
 @dataclass

@@ -58,7 +58,6 @@ from repro.experiments.reconfig import (
     run_throughput,
 )
 from repro.experiments.table1 import PAPER_TABLE1, Table1Result, run_table1
-from repro.experiments.tracking_ext import TrackingExtensionResult, run_tracking_extension
 from repro.experiments.table2 import PAPER_TABLE2, Table2Result, run_table2
 from repro.experiments.tables import format_table, pct
 
@@ -84,7 +83,6 @@ __all__ = [
     "PrControllerTraceResult",
     "SystemTopologyResult",
     "Table1Result",
-    "TrackingExtensionResult",
     "Table2Result",
     "ThresholdAblationResult",
     "ThroughputResult",
@@ -113,7 +111,6 @@ __all__ = [
     "run_table2",
     "run_threshold_ablation",
     "run_throughput",
-    "run_tracking_extension",
     "run_training_flow",
     "trained_dark_detector",
 ]

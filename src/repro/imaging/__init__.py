@@ -11,7 +11,6 @@ from repro.imaging.color import (
     redness,
     rgb_to_ycbcr,
     split_channels,
-    ycbcr_to_rgb,
 )
 from repro.imaging.components import Blob, blob_statistics, find_blobs, label_components
 from repro.imaging.draw import (
@@ -23,22 +22,15 @@ from repro.imaging.draw import (
     light_glow,
 )
 from repro.imaging.filters import (
-    SOBEL_X,
-    SOBEL_Y,
-    box_blur,
     central_gradient,
     convolve2d,
     convolve_separable,
     gaussian_blur,
     gaussian_kernel1d,
-    pad_replicate,
-    sobel,
 )
 from repro.imaging.geometry import (
     Rect,
-    iou_matrix,
     match_detections,
-    merge_overlapping,
     non_max_suppression,
 )
 from repro.imaging.image import (
@@ -49,16 +41,13 @@ from repro.imaging.image import (
     ensure_binary,
     ensure_gray,
     ensure_rgb,
-    paste,
 )
 from repro.imaging.morphology import (
     closing,
-    cross_element,
     dilate,
     erode,
     opening,
     rect_element,
-    remove_small_regions,
     square_element,
 )
 from repro.imaging.resize import (
@@ -66,38 +55,29 @@ from repro.imaging.resize import (
     downsample_binary,
     pyramid_scales,
     resize_bilinear,
-    resize_nearest,
     resize_rgb_bilinear,
 )
 from repro.imaging.threshold import (
-    band_threshold,
     binary_threshold,
     histogram,
-    light_source_mask,
-    multilevel_thresholds,
     otsu_threshold,
 )
 
 __all__ = [
     "Blob",
     "Rect",
-    "SOBEL_X",
-    "SOBEL_Y",
     "additive_light",
     "ascii_render",
     "ascii_render_with_boxes",
-    "band_threshold",
     "binary_threshold",
     "blend",
     "blob_statistics",
-    "box_blur",
     "central_gradient",
     "clip01",
     "closing",
     "convolve2d",
     "convolve_separable",
     "crop",
-    "cross_element",
     "dilate",
     "downsample_area",
     "downsample_binary",
@@ -113,29 +93,19 @@ __all__ = [
     "gaussian_kernel1d",
     "gray_to_rgb",
     "histogram",
-    "iou_matrix",
     "label_components",
     "light_glow",
-    "light_source_mask",
     "luminance",
     "match_detections",
-    "merge_overlapping",
-    "multilevel_thresholds",
     "non_max_suppression",
     "opening",
     "otsu_threshold",
-    "pad_replicate",
-    "paste",
     "pyramid_scales",
     "rect_element",
     "redness",
-    "remove_small_regions",
     "resize_bilinear",
-    "resize_nearest",
     "resize_rgb_bilinear",
     "rgb_to_ycbcr",
-    "sobel",
     "split_channels",
     "square_element",
-    "ycbcr_to_rgb",
 ]

@@ -1,4 +1,4 @@
-"""Color-space conversion: RGB <-> YCbCr (ITU-R BT.601).
+"""Color-space conversion: RGB -> YCbCr (ITU-R BT.601).
 
 The dark-condition pipeline of the paper thresholds both the *luminance*
 channel (light sources are bright) and the *chrominance* channels (taillights
@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.errors import ImageError
 from repro.imaging.image import ensure_gray, ensure_rgb
 
 # BT.601 luma coefficients.
@@ -44,20 +43,6 @@ def rgb_to_ycbcr(rgb: np.ndarray) -> np.ndarray:
         (H, W, 3) array with Y in [0, 1] and Cb, Cr in [-0.5, 0.5].
     """
     return np.stack(split_channels(rgb), axis=-1)
-
-
-def ycbcr_to_rgb(ycbcr: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`rgb_to_ycbcr`; output clipped to [0, 1]."""
-    arr = np.asarray(ycbcr, dtype=np.float64)
-    if arr.ndim != 3 or arr.shape[2] != 3:
-        raise ImageError(f"ycbcr image must have shape (H, W, 3), got {arr.shape}")
-    y = arr[..., 0]
-    cb = arr[..., 1]
-    cr = arr[..., 2]
-    r = y + 2.0 * (1.0 - _KR) * cr
-    b = y + 2.0 * (1.0 - _KB) * cb
-    g = (y - _KR * r - _KB * b) / _KG
-    return np.clip(np.stack([r, g, b], axis=-1), 0.0, 1.0)
 
 
 def _luma(arr: np.ndarray) -> np.ndarray:

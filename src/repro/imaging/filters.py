@@ -1,4 +1,4 @@
-"""Spatial filtering: 2-D convolution, separable Gaussian, Sobel, box blur.
+"""Spatial filtering: 2-D convolution, separable Gaussian, central gradients.
 
 Implemented directly on numpy (no scipy dependency in the core library) so
 the functional behaviour of the hardware pipelines can be mirrored exactly.
@@ -12,14 +12,6 @@ import numpy as np
 
 from repro.errors import ImageError
 from repro.imaging.image import ensure_gray
-
-
-def pad_replicate(image: np.ndarray, top: int, bottom: int, left: int, right: int) -> np.ndarray:
-    """Edge-replicating pad, the border mode used by streaming HW filters."""
-    arr = ensure_gray(image)
-    if min(top, bottom, left, right) < 0:
-        raise ImageError("padding amounts must be non-negative")
-    return _replicate(arr, top, bottom, left, right)
 
 
 def _replicate(arr: np.ndarray, top: int, bottom: int, left: int, right: int) -> np.ndarray:
@@ -105,27 +97,6 @@ def gaussian_blur(image: np.ndarray, sigma: float) -> np.ndarray:
     channel of an (H, W, C) image."""
     taps = gaussian_kernel1d(sigma)
     return convolve_separable(image, taps, taps)
-
-
-def box_blur(image: np.ndarray, size: int) -> np.ndarray:
-    """Mean filter over a ``size`` x ``size`` neighbourhood (odd size)."""
-    if size < 1 or size % 2 == 0:
-        raise ImageError(f"box size must be odd and >= 1, got {size}")
-    kernel = np.full((size, size), 1.0 / (size * size))
-    return convolve2d(image, kernel)
-
-
-# Sobel taps: the 3x3 operator every HOG hardware front-end approximates.
-SOBEL_X = np.array([[-1.0, 0.0, 1.0], [-2.0, 0.0, 2.0], [-1.0, 0.0, 1.0]])
-SOBEL_Y = SOBEL_X.T.copy()
-
-
-def sobel(image: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Horizontal and vertical Sobel derivatives (gx, gy)."""
-    arr = ensure_gray(image)
-    gx = convolve2d(arr, SOBEL_X)
-    gy = convolve2d(arr, SOBEL_Y)
-    return gx, gy
 
 
 def central_gradient(image: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

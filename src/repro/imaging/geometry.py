@@ -8,9 +8,8 @@ half-open pixel range ``[x, x + w) x [y, y + h)``.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from repro.errors import GeometryError
 
@@ -115,14 +114,6 @@ class Rect:
             return None
         return Rect(x1, y1, x2 - x1, y2 - y1)
 
-    def union_bounds(self, other: "Rect") -> "Rect":
-        """Smallest rectangle containing both boxes."""
-        x1 = min(self.x, other.x)
-        y1 = min(self.y, other.y)
-        x2 = max(self.x2, other.x2)
-        y2 = max(self.y2, other.y2)
-        return Rect(x1, y1, x2 - x1, y2 - y1)
-
     def iou(self, other: "Rect") -> float:
         """Intersection-over-union in [0, 1]."""
         # :meth:`intersection` and :attr:`area` spelled out, so no Rect is
@@ -143,12 +134,6 @@ class Rect:
         union = self.w * self.h + other.w * other.h - inter
         return inter / union
 
-    def center_distance(self, other: "Rect") -> float:
-        """Euclidean distance between box centers."""
-        cx1, cy1 = self.center
-        cx2, cy2 = other.center
-        return math.hypot(cx1 - cx2, cy1 - cy2)
-
     def as_int(self) -> tuple[int, int, int, int]:
         """Rounded integer (x, y, w, h), width/height at least 1."""
         x = int(round(self.x))
@@ -156,15 +141,6 @@ class Rect:
         w = max(1, int(round(self.w)))
         h = max(1, int(round(self.h)))
         return (x, y, w, h)
-
-
-def iou_matrix(boxes_a: Sequence[Rect], boxes_b: Sequence[Rect]):
-    """Pairwise IoU between two box lists as a nested list.
-
-    Kept dependency-free (plain lists) because callers typically hold a
-    handful of detections, not thousands.
-    """
-    return [[a.iou(b) for b in boxes_b] for a in boxes_a]
 
 
 def non_max_suppression(
@@ -195,28 +171,6 @@ def non_max_suppression(
         if all(boxes[idx].iou(boxes[k]) <= iou_threshold for k in kept):
             kept.append(idx)
     return kept
-
-
-def merge_overlapping(boxes: Iterable[Rect], iou_threshold: float = 0.3) -> list[Rect]:
-    """Merge clusters of mutually overlapping boxes into their union bounds.
-
-    A simple single-linkage clustering: any two boxes with IoU above the
-    threshold end up in the same cluster.  Used by the dark pipeline to fuse
-    taillight pair candidates that localise the same vehicle.
-    """
-    pool = list(boxes)
-    merged: list[Rect] = []
-    while pool:
-        seed = pool.pop()
-        changed = True
-        while changed:
-            changed = False
-            for i in range(len(pool) - 1, -1, -1):
-                if seed.iou(pool[i]) > iou_threshold:
-                    seed = seed.union_bounds(pool.pop(i))
-                    changed = True
-        merged.append(seed)
-    return merged
 
 
 def match_detections(

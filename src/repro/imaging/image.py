@@ -71,26 +71,6 @@ def crop(image: np.ndarray, rect: Rect) -> np.ndarray:
     return arr[y : y + h, x : x + w]
 
 
-def paste(canvas: np.ndarray, patch: np.ndarray, x: int, y: int) -> None:
-    """Blit ``patch`` onto ``canvas`` at (x, y), clipping at borders.
-
-    Operates in place.  Patches fully outside the canvas are a no-op.
-    """
-    canvas_arr = np.asarray(canvas)
-    patch_arr = np.asarray(patch)
-    if canvas_arr.ndim != patch_arr.ndim:
-        raise ImageError(
-            f"canvas ({canvas_arr.ndim}-D) and patch ({patch_arr.ndim}-D) dims differ"
-        )
-    ch, cw = canvas_arr.shape[:2]
-    ph, pw = patch_arr.shape[:2]
-    x1, y1 = max(x, 0), max(y, 0)
-    x2, y2 = min(x + pw, cw), min(y + ph, ch)
-    if x2 <= x1 or y2 <= y1:
-        return
-    canvas[y1:y2, x1:x2] = patch_arr[y1 - y : y2 - y, x1 - x : x2 - x]
-
-
 def blend(canvas: np.ndarray, patch: np.ndarray, x: int, y: int, alpha: float) -> None:
     """Alpha-blend ``patch`` onto ``canvas`` at (x, y) in place."""
     if not 0.0 <= alpha <= 1.0:

@@ -3,7 +3,7 @@
 The dark pipeline (paper Fig. 4) follows its threshold stage with a *closing*
 (dilate then erode) to remove noise produced by thresholding and to smooth
 blob contours by filling small holes.  Structuring elements are binary numpy
-masks; rectangular and cross-shaped elements are provided.
+masks; rectangular elements are provided.
 """
 
 from __future__ import annotations
@@ -24,17 +24,6 @@ def rect_element(height: int, width: int) -> np.ndarray:
 def square_element(size: int) -> np.ndarray:
     """Solid square structuring element."""
     return rect_element(size, size)
-
-
-def cross_element(size: int) -> np.ndarray:
-    """Plus-shaped structuring element with odd ``size``."""
-    if size < 1 or size % 2 == 0:
-        raise ImageError(f"cross size must be odd and >= 1, got {size}")
-    element = np.zeros((size, size), dtype=bool)
-    mid = size // 2
-    element[mid, :] = True
-    element[:, mid] = True
-    return element
 
 
 def _validate_element(element: np.ndarray) -> np.ndarray:
@@ -93,22 +82,3 @@ def closing(mask: np.ndarray, element: np.ndarray) -> np.ndarray:
 def opening(mask: np.ndarray, element: np.ndarray) -> np.ndarray:
     """Erode then dilate — removes specks smaller than the element."""
     return dilate(erode(mask, element), element)
-
-
-def remove_small_regions(mask: np.ndarray, min_area: int) -> np.ndarray:
-    """Drop connected regions with fewer than ``min_area`` pixels.
-
-    A cheap denoiser used after thresholding when the closing alone leaves
-    isolated hot pixels (sensor noise, distant street lamps).
-    """
-    from repro.imaging.components import label_components
-
-    if min_area <= 1:
-        return ensure_binary(mask).copy()
-    labels, count = label_components(mask)
-    if count == 0:
-        return np.zeros_like(ensure_binary(mask))
-    areas = np.bincount(labels.ravel(), minlength=count + 1)
-    keep = areas >= min_area
-    keep[0] = False
-    return keep[labels]

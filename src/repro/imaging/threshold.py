@@ -1,11 +1,9 @@
-"""Thresholding: fixed binary, Otsu, and multilevel histogram thresholds.
+"""Thresholding: fixed binary and Otsu histogram thresholds.
 
 The dark-condition detector's first stage (paper Fig. 3/4) is background
 subtraction by thresholding both the luminance and chrominance planes and
-merging the two masks.  Otsu and multilevel thresholding are included because
-the night-detection literature the paper builds on (Chen et al. [6]) uses
-automatic multilevel histogram thresholding; they also make the pipeline
-robust to the synthetic datasets' exposure spread.
+merging the two masks.  Otsu's automatic threshold makes the pipeline robust
+to the synthetic datasets' exposure spread.
 """
 
 from __future__ import annotations
@@ -33,14 +31,6 @@ def binary_threshold(image: np.ndarray, threshold: float, above: bool = True) ->
     """
     arr = ensure_gray(image)
     return arr > threshold if above else arr < threshold
-
-
-def band_threshold(image: np.ndarray, low: float, high: float) -> np.ndarray:
-    """Mask of pixels inside the closed band [low, high]."""
-    if low > high:
-        raise ImageError(f"band is empty: low={low} > high={high}")
-    arr = ensure_gray(image)
-    return (arr >= low) & (arr <= high)
 
 
 def histogram(image: np.ndarray, bins: int = 256, value_range: tuple[float, float] = (0.0, 1.0)) -> np.ndarray:
@@ -107,56 +97,3 @@ def otsu_threshold(image: np.ndarray, bins: int = 256, value_range: tuple[float,
     best = int(round(plateau.mean()))
     bin_width = (hi - lo) / bins
     return float(lo + (best + 1) * bin_width)
-
-
-def multilevel_thresholds(
-    image: np.ndarray,
-    levels: int = 2,
-    bins: int = 128,
-    value_range: tuple[float, float] = (0.0, 1.0),
-) -> list[float]:
-    """Automatic multilevel thresholding by recursive Otsu splitting.
-
-    Splits the histogram into ``levels + 1`` classes by repeatedly applying
-    Otsu to the widest remaining segment — the scheme used for headlight /
-    taillight segmentation in nighttime traffic surveillance [6].
-
-    Returns:
-        Sorted list of ``levels`` threshold values.
-    """
-    if levels < 1:
-        raise ImageError(f"levels must be >= 1, got {levels}")
-    arr = ensure_gray(image)
-    segments: list[tuple[float, float]] = [value_range]
-    cuts: list[float] = []
-    for _ in range(levels):
-        # Split the segment holding the most pixels.
-        def seg_count(seg: tuple[float, float]) -> int:
-            return int(np.count_nonzero((arr >= seg[0]) & (arr <= seg[1])))
-
-        segments.sort(key=seg_count, reverse=True)
-        lo, hi = segments.pop(0)
-        masked = arr[(arr >= lo) & (arr <= hi)]
-        if masked.size < 2 or np.isclose(masked.min(), masked.max()):
-            cut = (lo + hi) / 2.0
-        else:
-            cut = otsu_threshold(masked.reshape(1, -1), bins=bins, value_range=(lo, hi))
-        cuts.append(cut)
-        segments.extend([(lo, cut), (cut, hi)])
-    return sorted(cuts)
-
-
-def light_source_mask(
-    luma: np.ndarray,
-    luma_threshold: float | None = None,
-    margin: float = 0.0,
-) -> np.ndarray:
-    """Mask of bright (potential light-source) pixels in a luma plane.
-
-    When no threshold is given, Otsu picks one and ``margin`` shifts it up —
-    at night the histogram is dominated by darkness, so a small positive
-    margin suppresses dim reflections.
-    """
-    if luma_threshold is None:
-        luma_threshold = otsu_threshold(luma) + margin
-    return binary_threshold(luma, luma_threshold, above=True)

@@ -98,14 +98,6 @@ class Rbm:
         probs = self.hidden_probabilities(visible)
         return (self._rng.random(probs.shape) < probs).astype(np.float64)
 
-    def free_energy(self, visible: np.ndarray) -> np.ndarray:
-        """F(v) = -v.b_v - sum_j softplus(v W_j + b_h_j); lower = more likely."""
-        v = self._check_batch(visible, self.n_visible, "visible")
-        linear = v @ self.visible_bias
-        pre = v @ self.weights + self.hidden_bias
-        softplus = np.where(pre > 30, pre, np.log1p(np.exp(np.minimum(pre, 30))))
-        return -linear - softplus.sum(axis=1)
-
     def reconstruct(self, visible: np.ndarray) -> np.ndarray:
         """One mean-field down-up pass; used for reconstruction error."""
         return self.visible_probabilities(self.hidden_probabilities(visible))

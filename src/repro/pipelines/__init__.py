@@ -23,20 +23,6 @@ from repro.pipelines.evaluation import (
     evaluate_frames,
 )
 from repro.pipelines.pedestrian import PedestrianConfig, PedestrianDetector
-from repro.pipelines.persistence import (
-    load_detector_bundle,
-    load_scaler,
-    save_detector_bundle,
-    save_scaler,
-)
-from repro.pipelines.tracking import (
-    Track,
-    TrackerConfig,
-    TrackingEvaluation,
-    TrackingPipeline,
-    VehicleTracker,
-    evaluate_tracking,
-)
 from repro.pipelines.taillight import (
     CLASS_RADIUS_PX,
     PAIR_FEATURE_LENGTH,
@@ -67,25 +53,15 @@ __all__ = [
     "PedestrianConfig",
     "PedestrianDetector",
     "TaillightCandidate",
-    "Track",
-    "TrackerConfig",
-    "TrackingEvaluation",
-    "TrackingPipeline",
     "TaillightPairMatcher",
     "confusion_from_predictions",
     "evaluate_crop_classifier",
     "evaluate_detections",
-    "evaluate_tracking",
     "evaluate_frames",
     "hog_features_for_dataset",
-    "load_detector_bundle",
-    "load_scaler",
     "make_pair_training_set",
     "pair_features",
     "pair_gate",
-    "save_detector_bundle",
-    "save_scaler",
     "train_condition_models",
-    "VehicleTracker",
     "vehicle_box_from_pair",
 ]

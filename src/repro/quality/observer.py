@@ -212,6 +212,9 @@ class ModelQualityObserver:
         #: Typed quality events (vocabulary-checked at emit time).
         self.events: list[dict] = []
         self._trace: "LuxTrace | None" = None
+        #: :meth:`summary`'s fold of :attr:`records`; ``None`` once a record
+        #: arrives after it was taken.
+        self._summary: dict | None = None
 
     @classmethod
     def for_spec(
@@ -231,6 +234,7 @@ class ModelQualityObserver:
                 "call finish_drive() first"
             )
         self._trace = trace
+        self._summary = None
         self.quality_event(
             "quality.drive.start",
             n_frames=n_frames,
@@ -289,6 +293,7 @@ class ModelQualityObserver:
             detections=len(detections),
         )
         self.records.append(quality_record)
+        self._summary = None
         return quality_record
 
     def _truth_boxes(self, rng) -> list[Rect]:
@@ -353,8 +358,16 @@ class ModelQualityObserver:
     # Reporting ---------------------------------------------------------------
 
     def summary(self) -> dict:
-        """The per-drive quality summary (a pure fold of the records)."""
-        return fold_records(self.records)
+        """The per-drive quality summary (a pure fold of the records).
+
+        The fold is kept until the next record arrives, so the summary
+        event of :meth:`finish_drive` and the caller reading the summary
+        after it share one fold.  The dict is that shared fold: callers
+        must not mutate it.
+        """
+        if self._summary is None:
+            self._summary = fold_records(self.records)
+        return self._summary
 
     def provenance(self) -> dict:
         """Everything needed to rebuild this observer for incident replay."""

@@ -20,7 +20,6 @@ from repro.zynq.bus import (
 )
 from repro.zynq.dma import DmaDescriptor, DmaEngine, DmaState
 from repro.zynq.events import EventHandle, Simulator, Trace, TraceRecord
-from repro.zynq.firmware import DetectionFirmware, FirmwareStats, StreamState
 from repro.zynq.interrupts import InterruptController, InterruptLine
 from repro.zynq.pr import (
     ALL_CONTROLLERS,
@@ -43,9 +42,6 @@ __all__ = [
     "DmaDescriptor",
     "DmaEngine",
     "DmaState",
-    "DetectionFirmware",
-    "FirmwareStats",
-    "StreamState",
     "EventHandle",
     "FRAME_BYTES",
     "GP_PORT_LITE",

@@ -14,7 +14,6 @@ from repro.datasets.lighting import (
     LightingCondition,
     condition_for_lux,
     lighting_for_condition,
-    lighting_for_lux,
     sample_dark_lighting,
     sample_day_lighting,
     sample_dusk_lighting,
@@ -53,16 +52,6 @@ class TestPresets:
     def test_preset_lookup(self):
         for condition in LightingCondition:
             assert lighting_for_condition(condition).condition is condition
-
-    def test_lighting_for_lux_condition_consistent(self):
-        for lux in (50_000, 100, 1.0):
-            model = lighting_for_lux(lux)
-            assert model.condition is condition_for_lux(lux)
-
-    def test_lighting_for_lux_interpolates_brighter(self):
-        dim = lighting_for_lux(6.0)
-        bright = lighting_for_lux(800.0)
-        assert bright.ambient > dim.ambient
 
     def test_model_validation(self):
         from repro.datasets.lighting import LightingModel

@@ -14,7 +14,6 @@ from repro.imaging.color import (
     redness,
     rgb_to_ycbcr,
     split_channels,
-    ycbcr_to_rgb,
 )
 
 
@@ -62,26 +61,15 @@ class TestConversion:
         with pytest.raises(ImageError):
             rgb_to_ycbcr(np.zeros((4, 4)))
 
-    def test_rejects_bad_ycbcr_shape(self):
-        with pytest.raises(ImageError):
-            ycbcr_to_rgb(np.zeros((4, 4, 2)))
-
     @settings(max_examples=50)
     @given(rgb_images())
-    def test_roundtrip(self, rgb):
-        back = ycbcr_to_rgb(rgb_to_ycbcr(rgb))
-        assert np.allclose(back, rgb, atol=1e-9)
-
-    @settings(max_examples=50)
-    @given(rgb_images())
-    def test_roundtrip_bitwise_unchanged(self, rgb):
-        # The interleaved image the planes used to be sliced from.
+    def test_matches_bt601_formulas_bitwise(self, rgb):
         r, g, b = rgb[..., 0], rgb[..., 1], rgb[..., 2]
         y = 0.299 * r + 0.587 * g + 0.114 * b
         interleaved = np.stack(
             [y, (b - y) / (2.0 * (1.0 - 0.114)), (r - y) / (2.0 * (1.0 - 0.299))], axis=-1
         )
-        assert ycbcr_to_rgb(rgb_to_ycbcr(rgb)).tobytes() == ycbcr_to_rgb(interleaved).tobytes()
+        assert rgb_to_ycbcr(rgb).tobytes() == interleaved.tobytes()
 
     @settings(max_examples=30)
     @given(rgb_images())

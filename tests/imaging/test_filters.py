@@ -1,4 +1,4 @@
-"""Tests for repro.imaging.filters: convolution, Gaussian, Sobel, gradients."""
+"""Tests for repro.imaging.filters: convolution, Gaussian, gradients."""
 
 from __future__ import annotations
 
@@ -7,29 +7,12 @@ import pytest
 
 from repro.errors import ImageError
 from repro.imaging.filters import (
-    SOBEL_X,
-    SOBEL_Y,
-    box_blur,
     central_gradient,
     convolve2d,
     convolve_separable,
     gaussian_blur,
     gaussian_kernel1d,
-    pad_replicate,
-    sobel,
 )
-
-
-class TestPad:
-    def test_pad_replicates_edges(self):
-        img = np.array([[1.0, 2.0], [3.0, 4.0]])
-        out = pad_replicate(img, 1, 1, 1, 1)
-        assert out.shape == (4, 4)
-        assert out[0, 0] == 1.0 and out[-1, -1] == 4.0
-
-    def test_pad_rejects_negative(self):
-        with pytest.raises(ImageError):
-            pad_replicate(np.ones((2, 2)), -1, 0, 0, 0)
 
 
 class TestConvolve:
@@ -91,22 +74,8 @@ class TestGaussian:
         img = rng.random((20, 20))
         assert gaussian_blur(img, 1.0).var() < img.var()
 
-    def test_box_blur_rejects_even_size(self):
-        with pytest.raises(ImageError):
-            box_blur(np.ones((4, 4)), 2)
-
 
 class TestGradients:
-    def test_sobel_on_vertical_edge(self):
-        img = np.zeros((8, 8))
-        img[:, 4:] = 1.0
-        gx, gy = sobel(img)
-        assert np.abs(gx).max() > 0
-        assert np.allclose(gy, 0.0)
-
-    def test_sobel_kernels_transpose(self):
-        assert np.array_equal(SOBEL_Y, SOBEL_X.T)
-
     def test_central_gradient_linear_ramp(self):
         # f(x, y) = x has gx = 1 everywhere in the interior.
         img = np.tile(np.arange(8, dtype=float), (8, 1))

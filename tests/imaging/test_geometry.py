@@ -10,9 +10,7 @@ from hypothesis import given, strategies as st
 from repro.errors import GeometryError
 from repro.imaging.geometry import (
     Rect,
-    iou_matrix,
     match_detections,
-    merge_overlapping,
     non_max_suppression,
 )
 
@@ -79,10 +77,6 @@ class TestIntersectionUnion:
     def test_intersection_disjoint_is_none(self):
         assert Rect(0, 0, 2, 2).intersection(Rect(10, 10, 2, 2)) is None
 
-    def test_union_bounds_covers_both(self):
-        u = Rect(0, 0, 2, 2).union_bounds(Rect(10, 10, 2, 2))
-        assert u.contains(Rect(0, 0, 2, 2)) and u.contains(Rect(10, 10, 2, 2))
-
     def test_iou_identical_is_one(self):
         r = Rect(3, 4, 5, 6)
         assert r.iou(r) == pytest.approx(1.0)
@@ -91,11 +85,6 @@ class TestIntersectionUnion:
         a = Rect(0, 0, 10, 10)
         b = Rect(5, 0, 10, 10)
         assert a.iou(b) == pytest.approx(50.0 / 150.0)
-
-    def test_center_distance(self):
-        a = Rect(0, 0, 2, 2)
-        b = Rect(3, 4, 2, 2)
-        assert a.center_distance(b) == pytest.approx(5.0)
 
 
 class TestIouProperties:
@@ -149,14 +138,6 @@ class TestNms:
 
 
 class TestMergeAndMatch:
-    def test_merge_overlapping_clusters(self):
-        boxes = [Rect(0, 0, 10, 10), Rect(2, 2, 10, 10), Rect(40, 40, 5, 5)]
-        merged = merge_overlapping(boxes, iou_threshold=0.3)
-        assert len(merged) == 2
-
-    def test_merge_empty(self):
-        assert merge_overlapping([]) == []
-
     def test_match_detections_one_to_one(self):
         truths = [Rect(0, 0, 10, 10), Rect(30, 30, 10, 10)]
         dets = [Rect(1, 1, 10, 10), Rect(31, 29, 10, 10), Rect(60, 60, 5, 5)]
@@ -170,10 +151,3 @@ class TestMergeAndMatch:
         dets = [Rect(9, 9, 10, 10)]  # IoU ~ 0.005
         matches, un_t, un_d = match_detections(truths, dets, iou_threshold=0.5)
         assert matches == [] and un_t == [0] and un_d == [0]
-
-    def test_iou_matrix_shape(self):
-        a = [Rect(0, 0, 1, 1)] * 2
-        b = [Rect(0, 0, 1, 1)] * 3
-        m = iou_matrix(a, b)
-        assert len(m) == 2 and len(m[0]) == 3
-        assert m[0][0] == pytest.approx(1.0)

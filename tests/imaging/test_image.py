@@ -1,4 +1,4 @@
-"""Tests for repro.imaging.image: validation, crop, paste, blending."""
+"""Tests for repro.imaging.image: validation, crop, blending."""
 
 from __future__ import annotations
 
@@ -15,7 +15,6 @@ from repro.imaging.image import (
     ensure_binary,
     ensure_gray,
     ensure_rgb,
-    paste,
 )
 
 
@@ -69,26 +68,6 @@ class TestCrop:
 
 
 class TestPasteBlend:
-    def test_paste_in_bounds(self):
-        canvas = np.zeros((5, 5))
-        paste(canvas, np.ones((2, 2)), 1, 1)
-        assert canvas[1:3, 1:3].sum() == 4
-        assert canvas.sum() == 4
-
-    def test_paste_clips_at_border(self):
-        canvas = np.zeros((5, 5))
-        paste(canvas, np.ones((3, 3)), 4, 4)
-        assert canvas.sum() == 1
-
-    def test_paste_fully_outside_is_noop(self):
-        canvas = np.zeros((5, 5))
-        paste(canvas, np.ones((2, 2)), 10, 10)
-        assert canvas.sum() == 0
-
-    def test_paste_rejects_dim_mismatch(self):
-        with pytest.raises(ImageError):
-            paste(np.zeros((5, 5)), np.ones((2, 2, 3)), 0, 0)
-
     def test_blend_alpha(self):
         canvas = np.zeros((2, 2))
         blend(canvas, np.ones((2, 2)), 0, 0, alpha=0.25)

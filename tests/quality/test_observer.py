@@ -177,6 +177,46 @@ class TestLifecycle:
             observer.quality_event("quality.party")
 
 
+class TestSummaryFold:
+    @pytest.fixture
+    def fold_calls(self, monkeypatch):
+        import repro.quality.observer as observer_module
+
+        calls = []
+        fold = observer_module.fold_records
+
+        def spy(records):
+            calls.append(len(records))
+            return fold(records)
+
+        monkeypatch.setattr(observer_module, "fold_records", spy)
+        return calls
+
+    def test_one_fold_per_fleet_drive(self, fold_calls):
+        from repro.core.spec import DriveSpec
+        from repro.fleet.worker import execute_spec
+
+        outcome = execute_spec(DriveSpec(name="unit", duration_s=2.0, seed=4), quality=True)
+        assert outcome.quality["sampled_frames"] > 0
+        # finish_drive's summary event and the outcome share one fold.
+        assert fold_calls == [outcome.quality["sampled_frames"]]
+
+    def test_summary_during_drive_reflects_records_so_far(self, fold_calls):
+        observer = ModelQualityObserver(seed=3)
+        observer.begin_drive(DAY_TRACE, duration_s=0.2, n_frames=10)
+        for i in range(4):
+            observer.observe_frame(FakeFrame(index=i, time_s=i * 0.02), DAY_CONFIG)
+        assert observer.summary()["sampled_frames"] == 4
+        assert observer.summary()["sampled_frames"] == 4
+        for i in range(4, 10):
+            observer.observe_frame(FakeFrame(index=i, time_s=i * 0.02), DAY_CONFIG)
+        during = observer.summary()
+        assert during["sampled_frames"] == 10
+        observer.finish_drive()
+        assert observer.summary() is during
+        assert fold_calls == [4, 10]
+
+
 class TestNullObserver:
     def test_null_is_disabled_and_inert(self):
         assert NULL_QUALITY.enabled is False
