@@ -45,10 +45,11 @@ def test_combined_recovers_dusk_false_negatives(benchmark, table1):
 
 def test_benchmark_window_classification(benchmark):
     """Throughput of the window-classification path (HOG + SVM margin)."""
-    from repro.experiments.common import corpora_and_models, detector_with
+    from repro.experiments.common import corpora_and_models
+    from repro.pipelines.hog_svm import HogSvmDetector
 
     corpora, models = corpora_and_models(scale=0.2, seed=0)
-    detector = detector_with(models["combined"])
+    detector = HogSvmDetector(model=models["combined"])
     crop = corpora.day_test.images[0]
     verdict, _score = benchmark(detector.classify_crop, crop)
     assert isinstance(verdict, bool)

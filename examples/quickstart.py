@@ -26,7 +26,7 @@ from repro.datasets import (
 from repro.imaging import ascii_render_with_boxes, luminance
 from repro.pipelines import (
     DarkVehicleDetector,
-    HogSvmVehicleDetector,
+    HogSvmDetector,
     evaluate_crop_classifier,
     train_condition_models,
 )
@@ -54,7 +54,7 @@ def main() -> None:
     dusk_test = make_sysu_like(
         n_positive=n_test_pos, n_negative=n_test_pos, n_very_dark_positive=max(2, n_test_pos // 10), seed=4
     )
-    detector = HogSvmVehicleDetector()
+    detector = HogSvmDetector()
     for name, model in models.items():
         bound = detector.with_model(model)
         on_day = evaluate_crop_classifier(bound, day_test)

@@ -87,6 +87,10 @@ if [[ $fast -eq 0 ]]; then
 else
     echo "== pytest: skipped (--fast); run the analysis tier at least:"
     PYTHONPATH=src python -m pytest -x -q -m analysis || status=1
+    # The layer table names traced callables (PedestrianDetector.detect,
+    # HogSvmVehicleDetector.detect_multiscale); renaming one fails here.
+    echo "== pytest bench/tests/test_layers.py (benchmark layer table)"
+    PYTHONPATH=src python -m pytest -q bench/tests/test_layers.py || status=1
 fi
 
 if [[ $status -eq 0 ]]; then

@@ -88,13 +88,3 @@ class ConfusionCounts:
             fp=int(data.get("fp", 0)),
             fn=int(data.get("fn", 0)),
         )
-
-    def as_row(self) -> dict:
-        """Table-I-style row."""
-        return {
-            "accuracy": self.accuracy,
-            "TP": self.tp,
-            "TN": self.tn,
-            "FP": self.fp,
-            "FN": self.fn,
-        }

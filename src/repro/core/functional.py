@@ -12,7 +12,7 @@ day<->dusk model swap is free, and a dusk<->dark partial reconfiguration
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -25,7 +25,8 @@ from repro.faults.plan import FaultPlan
 from repro.ml.linear import LinearModel
 from repro.pipelines.base import Detection
 from repro.pipelines.dark import DarkVehicleDetector
-from repro.pipelines.day_dusk import DayDuskConfig, HogSvmVehicleDetector
+from repro.pipelines.day_dusk import HogSvmVehicleDetector
+from repro.pipelines.hog_svm import VEHICLE_LEVELS, HogSvmConfig
 
 
 @dataclass
@@ -54,7 +55,9 @@ class FunctionalConfig:
 
     Attributes:
         controller: Hysteresis controller settings.
-        multiscale: Use pyramid detection for the HOG pipelines.
+        multiscale: Scan the day/dusk pyramid's ``VEHICLE_LEVELS`` levels
+            whatever the day/dusk configuration's ``levels``.  Kept because
+            bench/workloads.py passes ``multiscale=True``.
     """
 
     controller: ControllerConfig = field(default_factory=ControllerConfig)
@@ -69,7 +72,7 @@ class AdaptiveVehicleDetector:
         condition_models: dict[str, LinearModel],
         dark_detector: DarkVehicleDetector,
         config: FunctionalConfig | None = None,
-        day_dusk_config: DayDuskConfig | None = None,
+        day_dusk_config: HogSvmConfig | None = None,
         initial: LightingCondition = LightingCondition.DAY,
         fault_plan: FaultPlan | None = None,
     ):
@@ -79,7 +82,10 @@ class AdaptiveVehicleDetector:
         if dark_detector.dbn is None or dark_detector.matcher is None:
             raise PipelineError("dark detector must be trained")
         self.config = config or FunctionalConfig()
-        base = HogSvmVehicleDetector(day_dusk_config or DayDuskConfig())
+        hog_config = day_dusk_config or HogSvmConfig()
+        if self.config.multiscale:
+            hog_config = replace(hog_config, levels=VEHICLE_LEVELS)
+        base = HogSvmVehicleDetector(hog_config)
         self._hog = {
             name: base.with_model(model) for name, model in condition_models.items()
         }
@@ -90,10 +96,6 @@ class AdaptiveVehicleDetector:
         )
         self.controller = self.system.controller
         self.results: list[FrameResult] = []
-
-    @property
-    def degraded_frames(self) -> int:
-        return sum(1 for r in self.results if r.degraded)
 
     def process(self, time_s: float, lux: float, frame: np.ndarray) -> FrameResult:
         """One tick: issue the frame, run the partition's pipeline, sense.
@@ -110,8 +112,8 @@ class AdaptiveVehicleDetector:
             active, detect = self._dark.name, self._dark.detect
         else:
             hog = self._hog[soc.vehicle_model]
-            active = f"{hog.name}:{soc.vehicle_model}"
-            detect = hog.detect_multiscale if self.config.multiscale else hog.detect
+            # detect_multiscale, the name bench/layers.py times (= detect).
+            active, detect = f"{hog.name}:{soc.vehicle_model}", hog.detect_multiscale
         detections: list[Detection] = []
         degraded = not (vehicle_ok or reconfiguring)
         if vehicle_ok:

@@ -24,7 +24,6 @@ from repro.experiments.common import (
     ConditionCorpora,
     build_corpora,
     corpora_and_models,
-    detector_with,
     trained_dark_detector,
 )
 from repro.experiments.dark_accuracy import (
@@ -89,7 +88,6 @@ __all__ = [
     "TrainingFlowResult",
     "build_corpora",
     "corpora_and_models",
-    "detector_with",
     "format_table",
     "PipelineScore",
     "pct",

@@ -26,14 +26,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.functional import AdaptiveVehicleDetector, FunctionalConfig
+from repro.core.functional import AdaptiveVehicleDetector
 from repro.datasets.lighting import LightingCondition, condition_for_lux, sample_lighting
 from repro.datasets.scene import SceneConfig, render_scene
-from repro.experiments.common import check_scale, corpora_and_models, detector_with, trained_dark_detector
+from repro.experiments.common import check_scale, corpora_and_models, trained_dark_detector
 from repro.experiments.tables import format_table, pct
 from repro.imaging.geometry import Rect, match_detections
 from repro.pipelines.base import Detection
-from repro.pipelines.day_dusk import DayDuskConfig
+from repro.pipelines.hog_svm import VEHICLE_LEVELS, HogSvmConfig, HogSvmDetector
 from repro.rng import make_rng
 
 
@@ -108,13 +108,8 @@ def run_adaptive_gain(
     _, models = corpora_and_models(scale=scale, seed=seed)
     dark = trained_dark_detector()
     # Dense scanning wants a positive margin (crop classification uses 0).
-    scan_config = DayDuskConfig(decision_threshold=1.0)
-    adaptive = AdaptiveVehicleDetector(
-        models,
-        dark,
-        config=FunctionalConfig(multiscale=True),
-        day_dusk_config=scan_config,
-    )
+    scan_config = HogSvmConfig(decision_threshold=1.0, levels=VEHICLE_LEVELS)
+    adaptive = AdaptiveVehicleDetector(models, dark, day_dusk_config=scan_config)
 
     rng = make_rng(seed + 101)
 
@@ -148,9 +143,9 @@ def run_adaptive_gain(
             frames.append((t, lux, condition, render_scene(config, lighting)))
 
     fixed_pipelines = {
-        "fixed day model": detector_with(models["day"], scan_config),
-        "fixed dusk model": detector_with(models["dusk"], scan_config),
-        "fixed combined model": detector_with(models["combined"], scan_config),
+        "fixed day model": HogSvmDetector(scan_config, models["day"]),
+        "fixed dusk model": HogSvmDetector(scan_config, models["dusk"]),
+        "fixed combined model": HogSvmDetector(scan_config, models["combined"]),
         "fixed dark pipeline": dark,
     }
     names = ["adaptive"] + list(fixed_pipelines)
@@ -178,9 +173,5 @@ def run_adaptive_gain(
         result = adaptive.process(t, lux, frame.rgb)
         tally("adaptive", condition, truths, result.detections)
         for name, pipeline in fixed_pipelines.items():
-            if name == "fixed dark pipeline":
-                detections = pipeline.detect(frame.rgb)
-            else:
-                detections = pipeline.detect_multiscale(frame.rgb, max_levels=3)
-            tally(name, condition, truths, detections)
+            tally(name, condition, truths, pipeline.detect(frame.rgb))
     return AdaptiveGainResult(scores=list(scores.values()), n_frames=len(frames))

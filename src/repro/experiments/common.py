@@ -25,7 +25,7 @@ from repro.datasets.synthetic import (
 )
 from repro.errors import ConfigurationError
 from repro.ml.linear import LinearModel
-from repro.pipelines.day_dusk import DayDuskConfig, HogSvmVehicleDetector, train_condition_models
+from repro.pipelines.day_dusk import train_condition_models
 
 if TYPE_CHECKING:  # imported for annotations only; training imports stay lazy
     from repro.pipelines.dark import DarkVehicleDetector
@@ -113,11 +113,6 @@ def corpora_and_models(scale: float = 1.0, seed: int = 0) -> tuple[ConditionCorp
         models = train_condition_models(corpora.day_train, corpora.dusk_train)
         _MODEL_CACHE[key] = (corpora, models)
     return _MODEL_CACHE[key]
-
-
-def detector_with(model: LinearModel, config: DayDuskConfig | None = None) -> HogSvmVehicleDetector:
-    """A day/dusk detector bound to a trained model."""
-    return HogSvmVehicleDetector(config).with_model(model)
 
 
 _DARK_CACHE: dict[int, "DarkVehicleDetector"] = {}

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 
 from repro.datasets.synthetic import make_dark_crops, make_iroads_like
-from repro.experiments.common import check_scale, corpora_and_models, detector_with, trained_dark_detector
+from repro.experiments.common import check_scale, corpora_and_models, trained_dark_detector
 from repro.experiments.tables import format_table, pct
 from repro.pipelines.evaluation import (
     ConfusionCounts,
@@ -27,6 +27,7 @@ from repro.pipelines.evaluation import (
     evaluate_crop_classifier,
     evaluate_frames,
 )
+from repro.pipelines.hog_svm import HogSvmDetector
 
 PAPER_DARK_ACCURACY = 0.95
 
@@ -84,7 +85,7 @@ def run_dark_accuracy(scale: float = 1.0, seed: int = 0, n_frames: int | None = 
     dark_counts = evaluate_crop_classifier(dark, crops)
     _, models = corpora_and_models(scale=min(scale, 0.5) if scale < 1.0 else 1.0, seed=seed)
     hog_counts = {
-        name: evaluate_crop_classifier(detector_with(model), crops)
+        name: evaluate_crop_classifier(HogSvmDetector(model=model), crops)
         for name, model in models.items()
     }
     if n_frames is None:

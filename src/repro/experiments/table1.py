@@ -10,9 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.experiments.common import check_scale, corpora_and_models, detector_with
+from repro.experiments.common import check_scale, corpora_and_models
 from repro.experiments.tables import format_table, pct
 from repro.pipelines.evaluation import ConfusionCounts, evaluate_crop_classifier
+from repro.pipelines.hog_svm import HogSvmDetector
 
 # The paper's Table I, for side-by-side comparison in reports:
 # model -> scenario -> (accuracy, TP, TN, FP, FN)
@@ -102,7 +103,7 @@ def run_table1(scale: float = 1.0, seed: int = 0) -> Table1Result:
     dusk_subset = corpora.dusk_test.without_very_dark()
     cells: dict[str, dict[str, ConfusionCounts]] = {}
     for model_name in MODELS:
-        detector = detector_with(models[model_name])
+        detector = HogSvmDetector(model=models[model_name])
         cells[model_name] = {
             "day": evaluate_crop_classifier(detector, corpora.day_test),
             "dusk": evaluate_crop_classifier(detector, corpora.dusk_test),

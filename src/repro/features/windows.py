@@ -28,10 +28,6 @@ class Window:
     scale: float
     patch: np.ndarray
 
-    def rect_in_frame(self) -> Rect:
-        """The window's rectangle mapped back to native frame coordinates."""
-        return self.rect.scaled(1.0 / self.scale)
-
 
 def slide(
     image: np.ndarray,

@@ -42,10 +42,6 @@ class VideoTiming:
             raise HardwareError("blanking must be >= 0")
 
     @property
-    def active_pixels(self) -> int:
-        return self.width * self.height
-
-    @property
     def total_pixels(self) -> int:
         return (self.width + self.h_blank) * (self.height + self.v_blank)
 

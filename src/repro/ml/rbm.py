@@ -93,15 +93,6 @@ class Rbm:
         h = self._check_batch(hidden, self.n_hidden, "hidden")
         return sigmoid(h @ self.weights.T + self.visible_bias)
 
-    def sample_hidden(self, visible: np.ndarray) -> np.ndarray:
-        """Bernoulli sample of the hidden layer given visibles."""
-        probs = self.hidden_probabilities(visible)
-        return (self._rng.random(probs.shape) < probs).astype(np.float64)
-
-    def reconstruct(self, visible: np.ndarray) -> np.ndarray:
-        """One mean-field down-up pass; used for reconstruction error."""
-        return self.visible_probabilities(self.hidden_probabilities(visible))
-
     # Training -----------------------------------------------------------
 
     def fit(self, data: np.ndarray) -> list[float]:

@@ -117,10 +117,6 @@ class IncidentWindow:
     def end_index(self) -> int:
         return self.snapshots[-1].index
 
-    @property
-    def trigger_index(self) -> int:
-        return self.triggers[0].frame_index
-
 
 class FlightRecorder:
     """Bounded ring buffer of :class:`FrameSnapshot` with trigger freezing.

@@ -1,4 +1,4 @@
-"""Detection pipelines: day/dusk (HOG+SVM), dark (DBN+pairing), pedestrian."""
+"""Detection pipelines: HOG+SVM (day/dusk vehicles and pedestrians), dark (DBN+pairing)."""
 
 from repro.pipelines.base import Detection, DetectionPipeline
 from repro.pipelines.dark import (
@@ -8,12 +8,7 @@ from repro.pipelines.dark import (
     DarkStageTrace,
     DarkVehicleDetector,
 )
-from repro.pipelines.day_dusk import (
-    DayDuskConfig,
-    HogSvmVehicleDetector,
-    hog_features_for_dataset,
-    train_condition_models,
-)
+from repro.pipelines.day_dusk import hog_features_for_dataset, train_condition_models
 from repro.pipelines.evaluation import (
     ConfusionCounts,
     FrameEvaluation,
@@ -22,7 +17,7 @@ from repro.pipelines.evaluation import (
     evaluate_detections,
     evaluate_frames,
 )
-from repro.pipelines.pedestrian import PedestrianConfig, PedestrianDetector
+from repro.pipelines.hog_svm import VEHICLE_LEVELS, HogSvmConfig, HogSvmDetector
 from repro.pipelines.taillight import (
     CLASS_RADIUS_PX,
     PAIR_FEATURE_LENGTH,
@@ -43,17 +38,16 @@ __all__ = [
     "DarkConfig",
     "DarkStageTrace",
     "DarkVehicleDetector",
-    "DayDuskConfig",
     "Detection",
     "DetectionPipeline",
     "FrameEvaluation",
-    "HogSvmVehicleDetector",
+    "HogSvmConfig",
+    "HogSvmDetector",
     "PAIR_FEATURE_LENGTH",
     "PAIR_SEPARATION_RATIO",
-    "PedestrianConfig",
-    "PedestrianDetector",
     "TaillightCandidate",
     "TaillightPairMatcher",
+    "VEHICLE_LEVELS",
     "confusion_from_predictions",
     "evaluate_crop_classifier",
     "evaluate_detections",

@@ -106,9 +106,6 @@ class Gauge:
     def inc(self, amount: float = 1.0) -> None:
         self.value += amount
 
-    def dec(self, amount: float = 1.0) -> None:
-        self.value -= amount
-
     def merge(self, other: "Gauge") -> None:
         """Fold another series of the same gauge in: last writer wins.
 

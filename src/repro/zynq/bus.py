@@ -139,11 +139,6 @@ class BusLink:
         self._start_next()
 
     @property
-    def queue_depth(self) -> int:
-        """Transfers waiting behind the one in flight."""
-        return len(self._queue)
-
-    @property
     def busy(self) -> bool:
         """True while a transfer occupies the link."""
         return self._busy

@@ -1,14 +1,13 @@
 """PL-to-PS interrupt controller model.
 
 Fig. 6: "DMA cores and detection modules generate interrupt requests and
-inform PS of their completed assigned task."  The controller latches lines,
-dispatches registered handlers, and counts deliveries for the tests.
+inform PS of their completed assigned task."  The controller latches lines
+and counts deliveries.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
 
 from repro.errors import SimulationError
 from repro.telemetry.spans import NullTracer, Tracer
@@ -25,11 +24,10 @@ class InterruptLine:
     name: str
     pending: bool = False
     count: int = 0
-    handlers: list[Callable[[str], None]] = field(default_factory=list)
 
 
 class InterruptController:
-    """Latching interrupt controller with per-line handlers."""
+    """Latching interrupt controller that counts deliveries per line."""
 
     def __init__(
         self,
@@ -50,12 +48,8 @@ class InterruptController:
             self._lines[name] = InterruptLine(name=name)
         return self._lines[name]
 
-    def connect(self, name: str, handler: Callable[[str], None]) -> None:
-        """Attach a handler; called with the line name on each delivery."""
-        self.register(name).handlers.append(handler)
-
     def raise_irq(self, name: str) -> None:
-        """Assert a line; handlers run after the controller latency."""
+        """Assert a line; it is delivered after the controller latency."""
         line = self.register(name)
         line.pending = True
 
@@ -66,14 +60,8 @@ class InterruptController:
             line.count += 1
             if self.tracer.enabled:
                 self.tracer.event("irq.delivered", time_s=self.sim.now, line=name)
-            for handler in list(line.handlers):
-                handler(name)
 
         self.sim.schedule(self.latency_s, deliver)
-
-    def pending_lines(self) -> list[str]:
-        """Names of lines raised but not yet delivered."""
-        return sorted(n for n, l in self._lines.items() if l.pending)
 
     def count(self, name: str) -> int:
         """Interrupts delivered so far on ``name``."""

@@ -156,10 +156,10 @@ class TestNonFinitePixels:
         lux = 30000.0 if condition is LightingCondition.DAY else 100.0
         result = detector.process(0.0, lux, rgb)
         assert result.degraded and result.detections == []
-        assert detector.degraded_frames == 1
+        assert sum(r.degraded for r in detector.results) == 1
         clean = detector.process(0.02, lux, _frame(condition).rgb)
         assert not clean.degraded
-        assert detector.degraded_frames == 1
+        assert sum(r.degraded for r in detector.results) == 1
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_dark_frame_runs(self, condition_models, dark_detector, value):

@@ -28,7 +28,7 @@ from repro.imaging.geometry import Rect
 from repro.imaging.image import ensure_gray
 from repro.ml.linear import LinearModel, validate_training_set
 from repro.ml.svm import SvmConfig
-from repro.pipelines import day_dusk, pedestrian
+from repro.pipelines import hog_svm
 from repro.pipelines.dark import DBN_STRIDE, DBN_WINDOW, DarkVehicleDetector
 from repro.rng import make_rng
 
@@ -78,15 +78,14 @@ def dbn_grid_reference(detector: DarkVehicleDetector, mask: np.ndarray) -> np.nd
 def reference_scans() -> Iterator[None]:
     """Run every pipeline's sliding-window stage on the per-window oracles.
 
-    Rebinds the ``scan_windows`` name the day/dusk and pedestrian modules
+    Rebinds the ``scan_windows`` name the HOG+SVM detector's module
     imported, and ``DarkVehicleDetector.dbn_grid`` on the class; everything
     else — front ends, NMS, candidate extraction, pair matching — stays the
     production code.  The HOG oracle computes its blocks from the plane, so
     it bypasses the blocks shared between partitions.
     """
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(day_dusk, "scan_windows", scan_windows_reference)
-        patch.setattr(pedestrian, "scan_windows", scan_windows_reference)
+        patch.setattr(hog_svm, "scan_windows", scan_windows_reference)
         patch.setattr(DarkVehicleDetector, "dbn_grid", dbn_grid_reference)
         yield
 

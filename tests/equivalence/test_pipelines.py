@@ -18,11 +18,10 @@ from repro.datasets.lighting import LightingCondition, lighting_for_condition
 from repro.datasets.scene import SceneConfig, render_scene
 from repro.features.hog import HogConfig
 from repro.ml.linear import LinearModel
-from repro.pipelines import dark, day_dusk, pedestrian
+from repro.pipelines import dark, hog_svm
 from repro.pipelines.base import scan_windows
 from repro.pipelines.dark import DarkStageTrace, DarkVehicleDetector
-from repro.pipelines.day_dusk import DayDuskConfig, HogSvmVehicleDetector
-from repro.pipelines.pedestrian import PedestrianConfig, PedestrianDetector
+from repro.pipelines.hog_svm import WINDOW_STRIDE_BLOCKS, HogSvmConfig, HogSvmDetector
 
 from tests.equivalence.references import (
     dbn_grid_reference,
@@ -54,15 +53,16 @@ def on_both_paths(obj, method: str, *args, **kwargs):
     """``obj.method(...)`` on the hot path, then under the reference scans.
 
     The method is looked up at each call, so a patched class attribute
-    (``DarkVehicleDetector.dbn_grid``) takes effect.
+    (``DarkVehicleDetector.dbn_grid``) or module function
+    (``hog_svm.scan_windows``) takes effect.
     """
     hot = getattr(obj, method)(*args, **kwargs)
     with reference_scans():
         return hot, getattr(obj, method)(*args, **kwargs)
 
 
-def detector(model, threshold: float = 0.0) -> HogSvmVehicleDetector:
-    return HogSvmVehicleDetector(DayDuskConfig(decision_threshold=threshold), model)
+def detector(model, threshold: float = 0.0, levels: int = 1) -> HogSvmDetector:
+    return HogSvmDetector(HogSvmConfig(decision_threshold=threshold, levels=levels), model)
 
 
 class TestDayDusk:
@@ -75,9 +75,9 @@ class TestDayDusk:
 
     @pytest.mark.parametrize("seed", [1, 9])
     def test_multiscale_identical(self, condition_models, seed):
-        hog = detector(condition_models["day"], threshold=-0.25)
+        hog = detector(condition_models["day"], threshold=-0.25, levels=3)
         frame = scene_frame(LightingCondition.DAY, seed)
-        assert_detections_identical(*on_both_paths(hog, "detect_multiscale", frame, max_levels=3))
+        assert_detections_identical(*on_both_paths(hog, "detect", frame))
 
     def test_scan_scores_bitwise(self, condition_models):
         # Below the detection API: the raw scan must agree score by score
@@ -86,7 +86,9 @@ class TestDayDusk:
 
         hog = detector(condition_models["dusk"], threshold=-np.inf)
         plane = luminance(scene_frame(LightingCondition.DUSK, 3))
-        (rects_b, scores_b), (rects_r, scores_r) = on_both_paths(hog, "_scan_plane", plane)
+        (rects_b, scores_b), (rects_r, scores_r) = on_both_paths(
+            hog_svm, "scan_windows", hog.hog, plane, hog.model, WINDOW_STRIDE_BLOCKS, -np.inf
+        )
         assert rects_b == rects_r
         assert np.asarray(scores_b).tobytes() == np.asarray(scores_r).tobytes()
 
@@ -119,7 +121,7 @@ class TestPedestrian:
         rng = np.random.default_rng(5)
         dim = HogConfig(window=(64, 32)).feature_length
         model = LinearModel(weights=rng.normal(size=dim), bias=0.05)
-        return PedestrianDetector(PedestrianConfig(decision_threshold=-0.3), model)
+        return HogSvmDetector(HogSvmConfig(kind="pedestrian", decision_threshold=-0.3), model)
 
     @pytest.mark.parametrize("seed", [2, 11, 23])
     def test_detect_identical(self, pedestrian_detector, seed):
@@ -168,9 +170,7 @@ class TestDark:
 class TestReferenceScans:
     def test_swaps_in_the_oracles_and_restores_the_hot_path(self):
         with reference_scans():
-            assert day_dusk.scan_windows is scan_windows_reference
-            assert pedestrian.scan_windows is scan_windows_reference
+            assert hog_svm.scan_windows is scan_windows_reference
             assert DarkVehicleDetector.dbn_grid is dbn_grid_reference
-        assert day_dusk.scan_windows is scan_windows
-        assert pedestrian.scan_windows is scan_windows
+        assert hog_svm.scan_windows is scan_windows
         assert DarkVehicleDetector.dbn_grid is not dbn_grid_reference

@@ -24,20 +24,21 @@ from repro.datasets.synthetic import make_sysu_like, make_upm_like
 from repro.experiments.common import build_corpora
 from repro.features.hog import HogDescriptor
 from repro.ml.svm import LinearSvm, SvmConfig
-from repro.pipelines.day_dusk import DayDuskConfig, hog_features_for_dataset, train_condition_models
+from repro.pipelines.day_dusk import hog_features_for_dataset, train_condition_models
+from repro.pipelines.hog_svm import SVM_C, HogSvmConfig
 
 pytestmark = pytest.mark.equivalence
 
 
-def oracle_train(dataset: ClassificationDataset, name: str, config: DayDuskConfig):
+def oracle_train(dataset: ClassificationDataset, name: str, config: HogSvmConfig):
     features = hog_features_for_dataset(dataset, HogDescriptor(config.hog))
-    model = LinearSvm(SvmConfig(c=config.svm_c)).train(features, dataset.labels, name=name)
+    model = LinearSvm(SvmConfig(c=SVM_C)).train(features, dataset.labels, name=name)
     model.meta["train_corpus"] = dataset.name
     return model
 
 
 def oracle_condition_models(day: ClassificationDataset, dusk: ClassificationDataset):
-    config = DayDuskConfig()
+    config = HogSvmConfig()
     combined = ClassificationDataset(
         name="combined",
         condition=day.condition,

@@ -25,7 +25,8 @@ from repro.features.hog import HogConfig, HogDescriptor
 from repro.imaging.color import luminance
 from repro.pipelines import base
 from repro.pipelines.base import frame_blocks
-from repro.pipelines.day_dusk import DayDuskConfig, HogSvmVehicleDetector
+from repro.pipelines.day_dusk import HogSvmVehicleDetector
+from repro.pipelines.hog_svm import VEHICLE_LEVELS, HogSvmConfig
 from repro.pipelines.pedestrian import PedestrianDetector
 
 from tests.equivalence.references import reference_scans
@@ -85,9 +86,11 @@ def walker():
     return detector
 
 
-def vehicle_hog(condition_models, condition: LightingCondition) -> HogSvmVehicleDetector:
+def vehicle_hog(
+    condition_models, condition: LightingCondition, levels: int = VEHICLE_LEVELS
+) -> HogSvmVehicleDetector:
     model = condition_models["day" if condition is LightingCondition.DAY else "dusk"]
-    return HogSvmVehicleDetector(DayDuskConfig(decision_threshold=1.0), model)
+    return HogSvmVehicleDetector(HogSvmConfig(decision_threshold=1.0, levels=levels), model)
 
 
 class TestSharedDetections:
@@ -121,7 +124,7 @@ class TestSharedDetections:
     def test_single_scale_vehicle_shares_with_the_walker(
         self, condition_models, walker, monkeypatch
     ):
-        vehicle = vehicle_hog(condition_models, LightingCondition.DUSK)
+        vehicle = vehicle_hog(condition_models, LightingCondition.DUSK, levels=1)
         frame = bench_like_frame(LightingCondition.DUSK, seed=12)
         extractions = dense_calls(monkeypatch)
         shared = detection_bytes(vehicle.detect(frame)), detection_bytes(walker.detect(frame))
@@ -146,7 +149,7 @@ class TestPartitionsStayIndependent:
             condition_models,
             dark_detector,
             config=FunctionalConfig(controller=ControllerConfig(min_dwell_s=0.0), multiscale=True),
-            day_dusk_config=DayDuskConfig(decision_threshold=1.0),
+            day_dusk_config=HogSvmConfig(decision_threshold=1.0),
             initial=LightingCondition.DUSK,
         )
         dusk = bench_like_frame(LightingCondition.DUSK, seed=31)
@@ -183,7 +186,7 @@ class TestSpy:
             condition_models,
             dark_detector,
             config=FunctionalConfig(multiscale=True),
-            day_dusk_config=DayDuskConfig(decision_threshold=1.0),
+            day_dusk_config=HogSvmConfig(decision_threshold=1.0),
             initial=LightingCondition.DAY,
         )
         frame = bench_like_frame(LightingCondition.DAY, seed=41)

@@ -10,7 +10,6 @@ from repro.experiments.common import (
     build_corpora,
     check_scale,
     corpora_and_models,
-    detector_with,
     trained_dark_detector,
 )
 
@@ -61,8 +60,3 @@ class TestCaching:
 
     def test_dark_detector_cached(self):
         assert trained_dark_detector() is trained_dark_detector()
-
-    def test_detector_with_binds_model(self):
-        _, models = corpora_and_models(scale=0.05, seed=9)
-        detector = detector_with(models["dusk"])
-        assert detector.model is models["dusk"]

@@ -43,7 +43,7 @@ class TestFunctionalDegradation:
         assert not ok.degraded
         assert hit.degraded and hit.detections == []
         assert not recovered.degraded
-        assert detector.degraded_frames == 1
+        assert sum(r.degraded for r in detector.results) == 1
 
     def test_real_pipeline_error_also_degrades(self, condition_models, dark_detector):
         detector = AdaptiveVehicleDetector(condition_models, dark_detector)
@@ -53,6 +53,8 @@ class TestFunctionalDegradation:
 
             def detect(self, frame):
                 raise PipelineError("synthetic crash")
+
+            detect_multiscale = detect  # the name the adapter calls
 
             def classify_crop(self, crop):
                 raise PipelineError("synthetic crash")

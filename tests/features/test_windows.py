@@ -22,12 +22,6 @@ class TestSlide:
         assert np.array_equal(wins[0].patch, img[0:2, 0:2])
         assert np.array_equal(wins[-1].patch, img[2:4, 2:4])
 
-    def test_rect_in_frame_maps_scale(self):
-        img = np.zeros((10, 10))
-        wins = list(slide(img, (4, 4), (4, 4), scale=0.5))
-        r = wins[0].rect_in_frame()
-        assert (r.w, r.h) == (8.0, 8.0)
-
     def test_rejects_bad_stride(self):
         with pytest.raises(FeatureError):
             list(slide(np.zeros((8, 8)), (4, 4), (0, 1)))

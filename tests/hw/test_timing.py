@@ -16,7 +16,6 @@ from repro.hw.timing import (
 
 class TestVideoTiming:
     def test_hdtv_raster(self):
-        assert HDTV_TIMING.active_pixels == 1920 * 1080
         assert HDTV_TIMING.total_pixels == 2200 * 1125
 
     def test_fps_at_paper_clock(self):

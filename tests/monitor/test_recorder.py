@@ -60,7 +60,7 @@ class TestWindows:
         window = windows[0]
         assert [s.index for s in window.snapshots] == [6, 7, 8, 9, 10, 11, 12]
         assert window.start_index == 6 and window.end_index == 12
-        assert window.trigger_index == 10
+        assert window.triggers[0].frame_index == 10
 
     def test_pre_roll_is_lifted_at_trigger_time(self):
         recorder = FlightRecorder(capacity=4, pre_roll=4, post_roll=8)

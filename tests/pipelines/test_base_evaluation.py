@@ -61,10 +61,6 @@ class TestConfusionCounts:
         s = a + b
         assert (s.tp, s.tn, s.fp, s.fn) == (11, 22, 33, 44)
 
-    def test_as_row(self):
-        row = ConfusionCounts(tp=1, tn=1, fp=0, fn=0).as_row()
-        assert row["accuracy"] == 1.0 and row["TP"] == 1
-
 
 class TestConfusionFromPredictions:
     def test_counts(self):

@@ -9,6 +9,7 @@ from repro.datasets.lighting import DAY_LIGHTING
 from repro.datasets.scene import SceneConfig, render_scene
 from repro.errors import NotTrainedError, PipelineError
 from repro.pipelines.day_dusk import DayDuskConfig, HogSvmVehicleDetector
+from repro.pipelines.hog_svm import VEHICLE_LEVELS, HogSvmDetector
 from repro.pipelines.evaluation import evaluate_crop_classifier
 
 
@@ -94,7 +95,8 @@ class TestMultiscale:
         from repro.datasets.lighting import DAY_LIGHTING
         from repro.datasets.scene import SceneConfig, render_scene
 
-        detector = HogSvmVehicleDetector().with_model(condition_models["day"])
+        detector = HogSvmVehicleDetector(DayDuskConfig(levels=VEHICLE_LEVELS))
+        detector = detector.with_model(condition_models["day"])
         frame = render_scene(
             SceneConfig(height=240, width=360, n_vehicles=1, vehicle_fill=(0.33, 0.38), seed=77),
             DAY_LIGHTING,
@@ -103,18 +105,18 @@ class TestMultiscale:
         multi = detector.detect_multiscale(frame.rgb)
         assert any(d.rect.iou(truth) > 0.4 for d in multi)
         # The single-scale 64x64 window cannot cover the ~130 px vehicle.
-        single = detector.detect(frame.rgb)
+        single = HogSvmDetector(model=condition_models["day"]).detect(frame.rgb)
         assert all(d.rect.w == 64 for d in single)
 
     def test_multiscale_boxes_within_frame(self, condition_models):
         from repro.datasets.lighting import DAY_LIGHTING
         from repro.datasets.scene import SceneConfig, render_scene
 
-        detector = HogSvmVehicleDetector().with_model(condition_models["day"])
+        detector = HogSvmVehicleDetector(DayDuskConfig(levels=3), condition_models["day"])
         frame = render_scene(
             SceneConfig(height=160, width=240, n_vehicles=1, seed=5), DAY_LIGHTING
         )
-        for det in detector.detect_multiscale(frame.rgb, max_levels=3):
+        for det in detector.detect_multiscale(frame.rgb):
             assert det.rect.x >= -1 and det.rect.y >= -1
             assert det.rect.x2 <= 241 and det.rect.y2 <= 161
 
@@ -122,12 +124,12 @@ class TestMultiscale:
         from repro.datasets.lighting import DAY_LIGHTING
         from repro.datasets.scene import SceneConfig, render_scene
 
-        detector = HogSvmVehicleDetector().with_model(condition_models["day"])
         frame = render_scene(
             SceneConfig(height=128, width=192, n_vehicles=1, seed=6), DAY_LIGHTING
         )
-        single = detector.detect(frame.rgb)
-        multi1 = detector.detect_multiscale(frame.rgb, max_levels=1)
+        single = HogSvmDetector(model=condition_models["day"]).detect(frame.rgb)
+        multi1 = HogSvmVehicleDetector(DayDuskConfig(levels=1), condition_models["day"])
+        multi1 = multi1.detect_multiscale(frame.rgb)
         assert len(single) == len(multi1)
         for a, b in zip(single, multi1):
             assert a.rect.iou(b.rect) > 0.99

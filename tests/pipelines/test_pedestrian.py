@@ -8,7 +8,7 @@ import pytest
 from repro.datasets.synthetic import make_pedestrian_frames
 from repro.errors import NotTrainedError, PipelineError
 from repro.pipelines.evaluation import evaluate_frames
-from repro.pipelines.pedestrian import PedestrianConfig, PedestrianDetector
+from repro.pipelines.pedestrian import PedestrianDetector
 
 
 @pytest.fixture(scope="module")
@@ -21,8 +21,7 @@ def trained_pedestrian():
 
 class TestTraining:
     def test_window_is_upright(self):
-        cfg = PedestrianConfig()
-        h, w = cfg.hog.window
+        h, w = PedestrianDetector().config.hog.window
         assert h > w
 
     def test_train_produces_model(self, trained_pedestrian):

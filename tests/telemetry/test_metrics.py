@@ -46,7 +46,7 @@ class TestSeries:
         gauge = MetricsRegistry().gauge("depth")
         gauge.set(3)
         gauge.inc()
-        gauge.dec(2)
+        gauge.inc(-2)
         assert gauge.value == 2.0
 
     def test_histogram_buckets_and_stats(self):

@@ -32,6 +32,7 @@ from repro.datasets.lighting import DARK_LIGHTING, LightingCondition, lighting_f
 from repro.datasets.scene import SceneConfig, render_scene
 from repro.datasets.synthetic import make_pedestrian_frames
 from repro.pipelines.day_dusk import DayDuskConfig, HogSvmVehicleDetector
+from repro.pipelines.hog_svm import VEHICLE_LEVELS
 from repro.pipelines.pedestrian import PedestrianDetector
 
 #: tracemalloc peak bounds for one call, in MB.
@@ -79,9 +80,9 @@ def traced_mb(call, frames) -> tuple[float, float]:
 
 def test_multiscale_scan_peak_memory(condition_models, frames):
     detector = HogSvmVehicleDetector(
-        DayDuskConfig(decision_threshold=1.0), condition_models["day"]
+        DayDuskConfig(decision_threshold=1.0, levels=VEHICLE_LEVELS), condition_models["day"]
     )
-    _, peak = traced_mb(lambda rgb: detector.detect_multiscale(rgb, max_levels=4), frames)
+    _, peak = traced_mb(detector.detect_multiscale, frames)
     assert peak < MULTISCALE_MAX_MB, f"detect_multiscale peaked at {peak:.1f} MB"
 
 

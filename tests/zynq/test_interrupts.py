@@ -12,11 +12,11 @@ from repro.zynq.interrupts import InterruptController
 class TestInterrupts:
     def test_delivery_after_latency(self, simulator):
         irq = InterruptController(simulator, latency_s=1e-6)
-        seen = []
-        irq.connect("dma.done", lambda name: seen.append((name, simulator.now)))
         irq.raise_irq("dma.done")
+        simulator.run_until(0.9e-6)
+        assert irq.count("dma.done") == 0
         simulator.run()
-        assert seen == [("dma.done", 1e-6)]
+        assert irq.count("dma.done") == 1 and simulator.now == 1e-6
 
     def test_count_accumulates(self, simulator):
         irq = InterruptController(simulator)
@@ -30,28 +30,17 @@ class TestInterrupts:
     def test_pending_until_delivered(self, simulator):
         irq = InterruptController(simulator, latency_s=1.0)
         irq.raise_irq("x")
-        assert irq.pending_lines() == ["x"]
+        assert irq.register("x").pending
         simulator.run()
-        assert irq.pending_lines() == []
+        assert not irq.register("x").pending
 
     def test_latched_line_coalesces_double_raise(self, simulator):
         # Two raises before delivery latch into one delivery.
         irq = InterruptController(simulator, latency_s=1.0)
-        seen = []
-        irq.connect("x", lambda name: seen.append(simulator.now))
         irq.raise_irq("x")
         irq.raise_irq("x")
         simulator.run()
-        assert len(seen) == 1
-
-    def test_multiple_handlers(self, simulator):
-        irq = InterruptController(simulator)
-        seen = []
-        irq.connect("x", lambda name: seen.append("a"))
-        irq.connect("x", lambda name: seen.append("b"))
-        irq.raise_irq("x")
-        simulator.run()
-        assert seen == ["a", "b"]
+        assert irq.count("x") == 1
 
     def test_rejects_negative_latency(self, simulator):
         with pytest.raises(SimulationError):
