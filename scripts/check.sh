@@ -84,6 +84,11 @@ if [[ $fast -eq 0 ]]; then
     # such as cell_histograms_from_field fails here.
     echo "== pytest bench/tests (benchmark harness and layer table)"
     PYTHONPATH=src python -m pytest -q bench/tests || status=1
+    # The paper's claims (Tables I and II, D95, RT, RL, Figs. 1-7, fps,
+    # the ablations and the adaptive thesis) as assertions, ~45 s; timing
+    # is off because these are checks, not measurements.
+    echo "== pytest benchmarks (the paper's claims)"
+    PYTHONPATH=src python -m pytest -q benchmarks --benchmark-disable || status=1
 else
     echo "== pytest: skipped (--fast); run the analysis tier at least:"
     PYTHONPATH=src python -m pytest -x -q -m analysis || status=1

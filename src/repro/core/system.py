@@ -275,7 +275,16 @@ class AdaptiveDetectionSystem:
             self.report.monitor = self.monitor
         if self.quality.enabled:
             self.report.quality = self.quality
-        self.soc.on_degradation = self._on_soc_degradation
+        degradations, monitor = self.report.degradations, self.monitor
+
+        def record_degradation(event: DegradationEvent) -> None:
+            # Over the report's list and the monitor, never the system:
+            # the SoC keeps this, and must not keep its owner.
+            degradations.append(event)
+            if monitor.enabled:
+                monitor.on_degradation(event)
+
+        self._record_degradation = self.soc.on_degradation = record_degradation
         self._pending_reconfig = False
 
     @classmethod
@@ -307,20 +316,14 @@ class AdaptiveDetectionSystem:
             quality=quality,
         )
 
-    def _on_soc_degradation(self, event: DegradationEvent) -> None:
-        self.report.degradations.append(event)
-        if self.monitor.enabled:
-            self.monitor.on_degradation(event)
-
     @property
     def condition(self) -> LightingCondition:
         return self.controller.condition
 
     def _degrade(self, kind: str, detail: str = "") -> None:
-        event = DegradationEvent(time_s=self.soc.sim.now, kind=kind, detail=detail)
-        self.report.degradations.append(event)
-        if self.monitor.enabled:
-            self.monitor.on_degradation(event)
+        self._record_degradation(
+            DegradationEvent(time_s=self.soc.sim.now, kind=kind, detail=detail)
+        )
         if self.telemetry.enabled:
             self.telemetry.event(
                 "degrade", time_s=self.soc.sim.now, action=kind, detail=detail

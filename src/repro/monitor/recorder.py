@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any
 
 from repro.errors import ConfigurationError
 
@@ -128,7 +128,10 @@ class FlightRecorder:
         cooldown_frames: Frames after an incident closes during which new
             triggers are ignored (counted, not recorded).
         max_incidents: Hard cap on windows per recorder lifetime.
-        on_incident: Callback receiving each finished window.
+
+    A window closes in :meth:`push` (post-roll complete), :meth:`flush`
+    (end of drive) or, with ``post_roll=0``, in :meth:`trigger`; the first
+    two return it, and every closed window is on :attr:`incidents`.
     """
 
     def __init__(
@@ -138,7 +141,6 @@ class FlightRecorder:
         post_roll: int = 16,
         cooldown_frames: int = 64,
         max_incidents: int = 16,
-        on_incident: Callable[[IncidentWindow], None] | None = None,
     ):
         if capacity < 1:
             raise ConfigurationError(f"capacity must be >= 1, got {capacity}")
@@ -157,7 +159,6 @@ class FlightRecorder:
         self.post_roll = post_roll
         self.cooldown_frames = cooldown_frames
         self.max_incidents = max_incidents
-        self.on_incident = on_incident
         self.ring: deque[FrameSnapshot] = deque(maxlen=capacity)
         self.frames_seen = 0
         self.incidents: list[IncidentWindow] = []
@@ -218,6 +219,4 @@ class FlightRecorder:
         self._post_remaining = 0
         self._cooldown_remaining = self.cooldown_frames
         self.incidents.append(window)
-        if self.on_incident is not None:
-            self.on_incident(window)
         return window

@@ -231,7 +231,6 @@ class Monitor:
             post_roll=self.config.post_roll,
             cooldown_frames=self.config.cooldown_frames,
             max_incidents=self.config.max_incidents,
-            on_incident=self._on_window,
         )
         #: Accepted trigger events, in firing order.
         self.triggers: list[TriggerEvent] = []
@@ -375,7 +374,9 @@ class Monitor:
 
     def finish_drive(self) -> None:
         """Detach from the drive; a still-capturing window is flushed."""
-        self.recorder.flush()
+        window = self.recorder.flush()
+        if window is not None:
+            self._on_window(window)
         system = self._system
         if system is not None:
             if self._fault_listener is not None and system.fault_plan is not None:
@@ -475,7 +476,9 @@ class Monitor:
             metric_deltas=self._metric_deltas(),
         )
         self._recent_events = []
-        self.recorder.push(snapshot)
+        window = self.recorder.push(snapshot)
+        if window is not None:
+            self._on_window(window)
         self._frames += 1
 
     def on_reconfig(self, report: "ReconfigReport") -> None:
@@ -523,6 +526,9 @@ class Monitor:
         )
         if not self.recorder.trigger(event):
             return
+        if not self.recorder.capturing:
+            # A zero post-roll closes the window inside trigger().
+            self._on_window(self.recorder.incidents[-1])
         self.triggers.append(event)
         self.emit_event(
             "monitor.trigger",

@@ -142,6 +142,7 @@ class DmaEngine:
     def _after_setup(self) -> None:
         descriptor, inject, span, _, on_error = self._transfer
         if inject:
+            self._transfer = ()
             self.state = DmaState.ERROR
             if self.trace is not None:
                 self.trace.emit(
@@ -165,6 +166,7 @@ class DmaEngine:
 
     def _complete(self) -> None:
         descriptor, _, span, on_done, _ = self._transfer
+        self._transfer = ()
         self.state = DmaState.IDLE
         self.transfers_completed += 1
         self.bytes_transferred += descriptor.n_bytes

@@ -76,9 +76,11 @@ class ZynqSoC:
         telemetry: Telemetry | None = None,
         trace_max_records: int | None = TRACE_MAX_RECORDS,
     ):
-        self.sim = Simulator()
+        sim = self.sim = Simulator()
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
-        self.telemetry.bind_clock(lambda: self.sim.now)
+        # The clock closes over the simulator, not the SoC: the SoC holds
+        # the telemetry session, so a clock over ``self`` closes a cycle.
+        self.telemetry.bind_clock(lambda: sim.now)
         self.trace = Trace(max_records=trace_max_records, tracer=self.telemetry.tracer)
         self.interrupts = InterruptController(self.sim, tracer=self.telemetry.tracer)
         self.timing = timing

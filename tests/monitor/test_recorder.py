@@ -45,18 +45,15 @@ class TestRing:
 
 class TestWindows:
     def test_pre_and_post_roll_around_the_trigger(self):
-        windows = []
-        recorder = FlightRecorder(
-            capacity=64, pre_roll=4, post_roll=3, on_incident=windows.append
-        )
+        recorder = FlightRecorder(capacity=64, pre_roll=4, post_roll=3)
         for i in range(10):
-            recorder.push(snap(i))
+            assert recorder.push(snap(i)) is None
         assert recorder.trigger(trig(10))
         assert recorder.capturing
-        for i in range(10, 14):
-            recorder.push(snap(i))
+        windows = [w for w in (recorder.push(snap(i)) for i in range(10, 14)) if w is not None]
         assert not recorder.capturing
         assert len(windows) == 1
+        assert recorder.incidents == windows
         window = windows[0]
         assert [s.index for s in window.snapshots] == [6, 7, 8, 9, 10, 11, 12]
         assert window.start_index == 6 and window.end_index == 12

@@ -92,6 +92,23 @@ class TestTriggers:
         assert monitor.triggers == []
         assert monitor.recorder.incidents == []
 
+    @pytest.mark.parametrize("post_roll", [0, 16, 100_000], ids=["trigger", "push", "flush"])
+    def test_every_closed_window_is_reported_once(self, post_roll):
+        # A window closes in trigger() (no post-roll), in push() (post-roll
+        # complete) or in flush() (drive over first); each one reaches the
+        # monitor's incident event exactly once, right where it closed.
+        monitor = Monitor(MonitorConfig(post_roll=post_roll, cooldown_frames=0))
+        run_monitored(monitor)
+        kinds = [e["kind"] for e in monitor.events]
+        assert monitor.recorder.incidents
+        assert kinds.count("monitor.incident") == len(monitor.recorder.incidents)
+        if post_roll == 0:
+            first = kinds.index("monitor.incident")
+            assert kinds[first + 1] == "monitor.trigger"
+        if post_roll == 100_000:
+            assert len(monitor.recorder.incidents) == 1
+            assert kinds[-1] == "monitor.incident"
+
     def test_listeners_detach_after_the_drive(self):
         monitor = Monitor()
         trace = sunset_trace(duration_s=DURATION_S)
