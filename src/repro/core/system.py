@@ -141,8 +141,8 @@ class FrameRecord:
     faults: tuple[str, ...] = ()
     degraded: bool = False
     #: Telemetry span id of this frame's ``drive.frame`` span (None when
-    #: telemetry is disabled) — the join key between the audit trail and an
-    #: exported trace.
+    #: the drive records no spans) — the join key between the audit trail
+    #: and an exported trace.
     span_id: int | None = None
 
 
@@ -324,25 +324,27 @@ class AdaptiveDetectionSystem:
         self._record_degradation(
             DegradationEvent(time_s=self.soc.sim.now, kind=kind, detail=detail)
         )
-        if self.telemetry.enabled:
-            self.telemetry.event(
-                "degrade", time_s=self.soc.sim.now, action=kind, detail=detail
-            )
-            self.telemetry.counter("degradations_total", kind=kind).inc()
+        telemetry = self.telemetry
+        if telemetry.tracer.enabled:
+            telemetry.event("degrade", time_s=self.soc.sim.now, action=kind, detail=detail)
+        if telemetry.enabled:
+            telemetry.counter("degradations_total", kind=kind).inc()
 
     def _handle_change(self, change: ConditionChange) -> None:
         """Apply the switching policy for one condition change."""
         self.report.condition_changes.append(change)
         if self.monitor.enabled:
             self.monitor.on_condition_change(change)
-        if self.telemetry.enabled:
-            self.telemetry.event(
+        telemetry = self.telemetry
+        if telemetry.tracer.enabled:
+            telemetry.event(
                 "condition.change",
                 time_s=change.time_s,
                 previous=change.previous.value,
                 new=change.new.value,
             )
-            self.telemetry.counter("condition_changes").inc()
+        if telemetry.enabled:
+            telemetry.counter("condition_changes").inc()
         plan = plan_switch(change.previous, change.new)
         if plan.kind is SwitchKind.MODEL_SWAP:
             model = MODEL_FOR_CONDITION[change.new]
@@ -476,6 +478,8 @@ class AdaptiveDetectionSystem:
         sim = self.soc.sim
         telemetry = self.telemetry
         observed = telemetry.enabled
+        traced = telemetry.tracer.enabled
+        wall_clock = telemetry.tracer.wall_clock
         monitor = self.monitor
         monitored = monitor.enabled
         if monitored:
@@ -494,6 +498,8 @@ class AdaptiveDetectionSystem:
         )
         for i in range(n_frames):
             t = i * frame_period
+            if observed:
+                wall_start = wall_clock()
             with telemetry.span("drive.frame", index=i) as frame_span:
                 veh_ok, ped_ok = self.issue_frame(i, t)
                 # Sensor + controller at their own (slower) cadence; the
@@ -533,7 +539,7 @@ class AdaptiveDetectionSystem:
                 # (its own RNG streams, no simulation state touched), so the
                 # frame core is identical with or without the quality plane.
                 qrecord = quality.observe_frame(record, expected_config) if scored else None
-                if observed:
+                if traced:
                     record.span_id = frame_span.span_id
                     frame_span.set_attr("condition", record.condition.value)
                     frame_span.set_attr("vehicle_accepted", veh_ok)
@@ -544,6 +550,7 @@ class AdaptiveDetectionSystem:
                         frame_span.set_attr("degraded", True)
                     if labels:
                         frame_span.set_attr("faults", ";".join(labels))
+                if observed:
                     telemetry.counter("drive_frames").inc()
                     if not veh_ok:
                         telemetry.counter("drive_vehicle_dropped").inc()
@@ -563,19 +570,20 @@ class AdaptiveDetectionSystem:
                                 iou_hist.observe(iou)
             wall_ms: float | None = None
             if observed:
-                wall_ms = frame_span.wall_duration_s * 1e3
+                wall_ms = (wall_clock() - wall_start) * 1e3
                 telemetry.histogram("frame_wall_ms").observe(wall_ms)
                 if wall_ms > deadline_ms:
                     telemetry.counter("frame_deadline_misses_total").inc()
             if monitored:
                 monitor.observe_frame(record, expected_config, wall_ms=wall_ms, quality=qrecord)
         sim.run_until(duration_s + 0.1)
-        telemetry.tracer.end(
-            drive_span,
-            vehicle_dropped=self.report.vehicle_dropped,
-            pedestrian_dropped=self.report.pedestrian_dropped,
-            reconfigurations=len(self.report.reconfigurations),
-        )
+        if traced:
+            telemetry.tracer.end(
+                drive_span,
+                vehicle_dropped=self.report.vehicle_dropped,
+                pedestrian_dropped=self.report.pedestrian_dropped,
+                reconfigurations=len(self.report.reconfigurations),
+            )
         if observed:
             telemetry.counter("reconfigurations_total").inc(len(self.report.reconfigurations))
             telemetry.gauge("drops_per_reconfiguration").set(

@@ -166,20 +166,22 @@ class FaultPlan:
     def bind_telemetry(self, telemetry) -> Callable[[FaultEvent], None]:
         """Mirror every firing into a telemetry session.
 
-        Each fault becomes a typed tracer event — tagged onto the enclosing
-        span when one is open (e.g. the drive's per-frame span) — and bumps
-        the ``faults_total{site=...}`` counter.  Returns the listener so a
-        caller can remove it from :attr:`listeners` again.
+        Each fault becomes a typed tracer event when the session records
+        spans — tagged onto the enclosing span when one is open (e.g. the
+        drive's per-frame span) — and bumps the ``faults_total{site=...}``
+        counter.  Returns the listener so a caller can remove it from
+        :attr:`listeners` again.
         """
 
         def on_fault(event: FaultEvent) -> None:
-            telemetry.event(
-                "fault",
-                time_s=event.time_s,
-                site=event.site.value,
-                target=event.target,
-                detail=event.detail,
-            )
+            if telemetry.tracer.enabled:
+                telemetry.event(
+                    "fault",
+                    time_s=event.time_s,
+                    site=event.site.value,
+                    target=event.target,
+                    detail=event.detail,
+                )
             telemetry.counter("faults_total", site=event.site.value).inc()
 
         self.listeners.append(on_fault)

@@ -192,7 +192,10 @@ def execute_spec(
 
     ``emitter`` (sharded live plane only) gets the drive's live frame
     counter attached; ``trace_path`` dumps the drive's telemetry as JSONL
-    for cross-process trace stitching.  Both are observability only: the
+    for cross-process trace stitching.  Spans are recorded only when
+    something reads them — the ``trace_path`` dump or the incident bundles
+    under ``incidents_dir``; otherwise ``record_latency`` records metrics
+    alone.  All of these are observability only: the
     PR-2/PR-5 non-perturbation contract (re-pinned by the fleet tests)
     guarantees the frame cores — and therefore ``frames_digest`` — are
     identical whether or not the drive is observed.
@@ -227,7 +230,12 @@ def execute_spec(
             worker_id=worker_id,
         )
 
-    telemetry = Telemetry.recording() if record_latency else None
+    telemetry = None
+    if record_latency:
+        if trace_path is not None or incidents_dir is not None:
+            telemetry = Telemetry.recording()
+        else:
+            telemetry = Telemetry.metrics_only()
     if telemetry is not None and emitter is not None:
         emitter.attach_frames(telemetry.metrics)
     monitor = None

@@ -517,7 +517,7 @@ class Monitor:
                 "add it to repro.monitor.events.MONITOR_EVENT_KINDS first"
             )
         self.events.append({"kind": kind, "time_s": time_s, **attrs})
-        if self.telemetry.enabled:
+        if self.telemetry.tracer.enabled:
             self.telemetry.event(kind, time_s=time_s, **attrs)
 
     def _trigger(self, kind: str, time_s: float, detail: str) -> None:
@@ -577,7 +577,7 @@ class Monitor:
             if t.frame_index is not None and start <= t.frame_index <= end
         ]
         spans: list[dict] = []
-        if self.config.include_spans and self.telemetry.enabled and window.snapshots:
+        if self.config.include_spans and self.telemetry.tracer.enabled and window.snapshots:
             t0 = window.snapshots[0].time_s
             t1 = window.snapshots[-1].time_s
             for span in self.telemetry.tracer.spans:

@@ -6,6 +6,12 @@ CLI).  The module-level :data:`NULL_TELEMETRY` is the off-by-default
 instance: disabled, allocation-free, and shared — instrumented code either
 checks ``telemetry.enabled`` or calls straight through, and both cost
 nothing when telemetry is off.
+
+A session records metrics, spans, or both.  ``enabled`` means it records
+something; ``tracer.enabled`` means it records spans, and code that
+prepares span attributes checks that.  :meth:`Telemetry.metrics_only`
+pairs a live registry with the :class:`NullTracer`, for callers that read
+the metrics and never the spans.
 """
 
 from __future__ import annotations
@@ -116,10 +122,8 @@ class Telemetry:
         else:
             self.metrics = MetricsRegistry() if self.tracer.enabled else NullMetrics()
         self.meta: dict[str, Any] = dict(meta or {})
-
-    @property
-    def enabled(self) -> bool:
-        return self.tracer.enabled
+        #: Records something: spans, metrics, or both.
+        self.enabled = self.tracer.enabled or not isinstance(self.metrics, NullMetrics)
 
     @classmethod
     def recording(
@@ -129,16 +133,21 @@ class Telemetry:
         max_spans: int | None = None,
         meta: dict[str, Any] | None = None,
     ) -> "Telemetry":
-        """An enabled session (optionally bound to a simulator clock)."""
+        """A session recording spans and metrics (optionally on a sim clock)."""
         return cls(
             tracer=Tracer(clock=clock, wall_clock=wall_clock, max_spans=max_spans),
             metrics=MetricsRegistry(),
             meta=meta,
         )
 
+    @classmethod
+    def metrics_only(cls) -> "Telemetry":
+        """An enabled session that records metrics and no spans."""
+        return cls(tracer=NullTracer(), metrics=MetricsRegistry())
+
     def bind_clock(self, clock: Callable[[], float]) -> None:
         """Point the tracer's sim clock at a simulator created after it."""
-        if self.enabled:
+        if self.tracer.enabled:
             self.tracer.clock = clock
 
     # Shorthand instrumentation surface --------------------------------------
@@ -150,8 +159,12 @@ class Telemetry:
         self.tracer.event(name, time_s=time_s, **attrs)
 
     def stage(self, name: str, **attrs: Any):
-        """Span a pipeline stage and histogram its wall time (ms)."""
-        if not self.enabled:
+        """Span a pipeline stage and histogram its wall time (ms).
+
+        The wall time is read off the span, so a session without spans
+        neither spans nor times the stage.
+        """
+        if not self.tracer.enabled:
             from repro.telemetry.spans import NULL_SPAN
 
             return NULL_SPAN

@@ -164,6 +164,9 @@ class NullTracer:
 
     enabled = False
     spans: tuple[Span, ...] = ()
+    #: The host clock, as on :class:`Tracer`: a metrics-only session times
+    #: its frames by it.
+    wall_clock = staticmethod(time.perf_counter)
 
     def span(self, name: str, **attrs: Any) -> _NullSpan:
         return NULL_SPAN

@@ -17,6 +17,9 @@ to SHA-256 values of every deterministic thing they produce:
 The values were captured before the event kernel, the span and metric
 types and the quality model were made cheaper; any change to event order,
 series creation order, a float's bits or a record's fields shows here.
+
+The pins are of the traced drive.  A drive nothing reads spans from
+records metrics only, and must equal the traced one on every other section.
 """
 
 from __future__ import annotations
@@ -107,9 +110,14 @@ def _sha(value) -> str:
     return hashlib.sha256(json.dumps(value, sort_keys=True).encode("utf-8")).hexdigest()
 
 
-def _sim_only_drive(spec: DriveSpec):
-    """The drive ``execute_spec(monitored, record_latency, quality)`` runs."""
-    telemetry = Telemetry.recording()
+def _sim_only_drive(spec: DriveSpec, telemetry: Telemetry | None = None):
+    """The drive ``execute_spec(..., quality=True, trace_path=...)`` runs.
+
+    Without ``trace_path`` or ``incidents_dir``, ``execute_spec`` records
+    metrics only: pass ``Telemetry.metrics_only()`` for that drive.
+    """
+    if telemetry is None:
+        telemetry = Telemetry.recording()
     monitor = Monitor(
         MonitorConfig(
             budgets=SloBudgets.for_fps(spec.fps),
@@ -152,47 +160,60 @@ def _span_view(span) -> dict:
     }
 
 
-def surface(spec: DriveSpec) -> dict[str, str]:
-    """SHA-256 of each section of one sim-only drive's output."""
-    system, report, telemetry, monitor, observer = _sim_only_drive(spec)
+def sections(spec: DriveSpec, telemetry: Telemetry | None = None) -> dict:
+    """Each section of one sim-only drive's output, unhashed."""
+    system, report, telemetry, monitor, observer = _sim_only_drive(spec, telemetry)
     return {
         "frames_digest": frames_digest(report.frames),
-        "summary": _sha(report.summary()),
-        "verdict": _sha(monitor.verdict()),
-        "quality": _sha(
-            {
-                "summary": observer.summary(),
-                "records": [r.to_dict() for r in observer.records],
-                "events": observer.events,
-            }
-        ),
-        "metrics": _sha(
-            [s for s in telemetry.metrics.snapshot() if s["name"] not in WALL_KEYS]
-        ),
-        "soc_trace": _sha(
-            [[r.time, r.source, r.message] for r in system.soc.trace.records]
-        ),
-        "spans": _sha([_span_view(span) for span in telemetry.tracer.spans]),
-        "monitor": _sha(
-            {
-                "events": monitor.events,
-                "triggers": [t.to_dict() for t in monitor.triggers],
-                "ring": [_snapshot_view(s) for s in monitor.recorder.ring],
-                "incidents": [
-                    {
-                        "snapshots": [_snapshot_view(s) for s in window.snapshots],
-                        "triggers": [t.to_dict() for t in window.triggers],
-                    }
-                    for window in monitor.recorder.incidents
-                ],
-            }
-        ),
+        "summary": report.summary(),
+        "verdict": monitor.verdict(),
+        "quality": {
+            "summary": observer.summary(),
+            "records": [r.to_dict() for r in observer.records],
+            "events": observer.events,
+        },
+        "metrics": [s for s in telemetry.metrics.snapshot() if s["name"] not in WALL_KEYS],
+        "soc_trace": [[r.time, r.source, r.message] for r in system.soc.trace.records],
+        "spans": [_span_view(span) for span in telemetry.tracer.spans],
+        "monitor": {
+            "events": monitor.events,
+            "triggers": [t.to_dict() for t in monitor.triggers],
+            "ring": [_snapshot_view(s) for s in monitor.recorder.ring],
+            "incidents": [
+                {
+                    "snapshots": [_snapshot_view(s) for s in window.snapshots],
+                    "triggers": [t.to_dict() for t in window.triggers],
+                }
+                for window in monitor.recorder.incidents
+            ],
+        },
+        "span_ids": [frame.span_id for frame in report.frames],
     }
+
+
+def surface(spec: DriveSpec) -> dict[str, str]:
+    """SHA-256 of each section of one traced sim-only drive's output."""
+    views = sections(spec)
+    del views["span_ids"]
+    digest = views.pop("frames_digest")
+    return {"frames_digest": digest, **{name: _sha(view) for name, view in views.items()}}
 
 
 @pytest.mark.parametrize("spec", SPECS, ids=[spec.name for spec in SPECS])
 def test_sim_only_drive_matches_golden(spec):
     assert surface(spec) == GOLDEN[spec.name]
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=[spec.name for spec in SPECS])
+def test_metrics_only_drive_equals_the_traced_drive(spec):
+    traced = sections(spec)
+    metrics_only = sections(spec, Telemetry.metrics_only())
+    assert traced["spans"] and all(span_id is not None for span_id in traced["span_ids"])
+    assert metrics_only.pop("spans") == []
+    assert set(metrics_only.pop("span_ids")) == {None}
+    del traced["spans"], traced["span_ids"]
+    for name, view in traced.items():
+        assert metrics_only[name] == view, name
 
 
 def test_fault_drive_exercises_every_section():

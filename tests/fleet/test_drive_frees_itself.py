@@ -20,15 +20,20 @@ from repro.fleet.worker import execute_spec
 pytestmark = pytest.mark.fleet
 
 
-@pytest.mark.parametrize("planes", [True, False], ids=["planes", "bare"])
+@pytest.mark.parametrize("planes", ["planes", "bare", "traced"])
 @pytest.mark.parametrize("scenario", [None, *sorted(SCENARIOS)])
 @pytest.mark.parametrize("trace", sorted(TRACE_FACTORIES))
-def test_execute_spec_leaves_no_cyclic_garbage(trace, scenario, planes):
+def test_execute_spec_leaves_no_cyclic_garbage(trace, scenario, planes, tmp_path):
+    """``planes`` records metrics only; ``traced`` also records spans for a dump."""
     spec = DriveSpec(name="gc", trace=trace, duration_s=2.0, seed=11, fault_scenario=scenario)
+    on = planes != "bare"
+    trace_path = tmp_path / "drive.jsonl" if planes == "traced" else None
     gc.collect()
     gc.disable()
     try:
-        outcome = execute_spec(spec, monitored=planes, record_latency=planes, quality=planes)
+        outcome = execute_spec(
+            spec, monitored=on, record_latency=on, quality=on, trace_path=trace_path
+        )
         unreachable = gc.collect()
     finally:
         gc.enable()

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import queue
+from collections import Counter
 
 import pytest
 
@@ -14,6 +15,10 @@ from repro.fleet.outcome import (
     deterministic_outcome_dict,
 )
 from repro.fleet.worker import TASK_POLL_TIMEOUT_S, execute_spec, worker_main
+from repro.monitor.session import Monitor, MonitorConfig
+from repro.monitor.slo import SloBudgets
+from repro.quality.observer import ModelQualityObserver
+from repro.telemetry import Telemetry, load_dump
 
 pytestmark = pytest.mark.fleet
 
@@ -79,6 +84,65 @@ class TestExecuteSpec:
         assert outcome.verdict["incidents"] == len(outcome.incidents)
         for path in outcome.incidents:
             assert str(tmp_path) in path
+
+
+FAULTED = DriveSpec(name="faulted", duration_s=4.0, seed=8, fault_scenario="worst_case")
+
+
+def _recorded(spec: DriveSpec) -> Telemetry:
+    """The telemetry of ``execute_spec(spec, quality=True)`` recording spans."""
+    from repro.core.system import run_drive_spec
+
+    telemetry = Telemetry.recording()
+    monitor = Monitor(
+        MonitorConfig(
+            budgets=SloBudgets.for_fps(spec.fps),
+            wall_clock_slos=False,
+            quality_slos=False,
+            trigger_on_quality=False,
+        ),
+        telemetry=telemetry,
+    )
+    observer = ModelQualityObserver.for_spec(spec)
+    run_drive_spec(spec, telemetry=telemetry, monitor=monitor, quality=observer)
+    return telemetry
+
+
+def _sim_series(metrics: list[dict]) -> list[dict]:
+    return [s for s in metrics if s["name"] not in WALL_KEYS]
+
+
+class TestSpansRecordedWhenRead:
+    """Spans are recorded exactly when a trace dump or a bundle reads them."""
+
+    def test_trace_dump_holds_the_recorded_spans(self, tmp_path):
+        path = tmp_path / "drive.jsonl"
+        outcome = execute_spec(FAULTED, quality=True, trace_path=path)
+        assert outcome.ok
+        dumped = load_dump(str(path)).spans
+        recorded = _recorded(FAULTED).tracer.spans
+        assert Counter(s.name for s in dumped) == Counter(s.name for s in recorded)
+        assert sum(len(s.events) for s in dumped) == sum(len(s.events) for s in recorded)
+
+    def test_incident_bundles_still_carry_spans(self, tmp_path):
+        outcome = execute_spec(FAULTED, incidents_dir=tmp_path)
+        assert outcome.incidents
+        for bundle in outcome.incidents:
+            names = {span.name for span in load_dump(bundle).spans}
+            assert "drive.frame" in names
+
+    def test_unread_spans_are_not_recorded(self, monkeypatch):
+        recorded = _recorded(FAULTED).metrics.snapshot()
+
+        def no_spans(cls, *args, **kwargs):
+            pytest.fail("a drive nothing reads spans from recorded them")
+
+        monkeypatch.setattr(Telemetry, "recording", classmethod(no_spans))
+        outcome = execute_spec(FAULTED, quality=True)
+        assert outcome.ok
+        assert outcome.latency_ms["count"] == outcome.summary["frames"]
+        assert [s["name"] for s in outcome.metrics if s["name"] in WALL_KEYS]
+        assert _sim_series(outcome.metrics) == _sim_series(recorded)
 
 
 class TestChaosContainment:

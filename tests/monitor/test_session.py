@@ -137,6 +137,23 @@ class TestDriveLoopMetrics:
         # The health monitor saw the same overruns.
         assert monitor.health.summary()["violations_by_slo"]["frame-deadline"] == n_frames
 
+    def test_metrics_only_drive_times_frames_without_spans(self):
+        wall = {"now": 0.0}
+
+        def wall_clock() -> float:
+            wall["now"] += 0.05
+            return wall["now"]
+
+        telemetry = Telemetry.metrics_only()
+        telemetry.tracer.wall_clock = wall_clock
+        monitor = Monitor(telemetry=telemetry)
+        report = run_monitored(monitor, scenario=None, telemetry=telemetry)
+        n_frames = len(report.frames)
+        assert telemetry.counter("frame_deadline_misses_total").value == n_frames
+        assert telemetry.histogram("frame_wall_ms").mean == pytest.approx(50.0)
+        assert {frame.span_id for frame in report.frames} == {None}
+        assert monitor.health.summary()["violations_by_slo"]["frame-deadline"] == n_frames
+
     def test_fast_wall_clock_misses_nothing(self):
         telemetry = Telemetry.recording(wall_clock=lambda: 0.0)
         system = AdaptiveDetectionSystem(telemetry=telemetry)

@@ -34,6 +34,30 @@ class TestNullTelemetry:
         assert not Telemetry().enabled
 
 
+class TestMetricsOnlySession:
+    def test_records_metrics_and_no_spans(self):
+        telemetry = Telemetry.metrics_only()
+        assert telemetry.enabled
+        assert not telemetry.tracer.enabled
+        telemetry.counter("c").inc(2)
+        with telemetry.span("op"):
+            telemetry.event("e", time_s=0.0)
+        assert telemetry.metrics.value("c") == 2
+        assert telemetry.tracer.spans == ()
+
+    def test_stage_is_neither_spanned_nor_timed(self):
+        telemetry = Telemetry.metrics_only()
+        with telemetry.stage("dark.preprocess") as span:
+            pass
+        assert span is NULL_SPAN
+        assert telemetry.metrics.snapshot() == []
+
+    def test_bind_clock_leaves_the_null_tracer_alone(self):
+        telemetry = Telemetry.metrics_only()
+        telemetry.bind_clock(lambda: 42.0)
+        assert not hasattr(telemetry.tracer, "clock")
+
+
 class TestRecordingSession:
     def test_stage_spans_and_histograms_wall_time(self):
         wall = {"now": 0.0}
