@@ -71,10 +71,23 @@ PYTHONPATH=src python -m repro fleet smoke >/dev/null || status=1
 echo "== repro fleet top --once (live-plane smoke + OpenMetrics exposition check)"
 fleet_tmp=$(mktemp -d)
 PYTHONPATH=src python -m repro fleet top --once --count 4 --duration 1.0 >/dev/null || status=1
+# --trace-dir names a directory that does not exist yet: the scheduler
+# must create it before any worker writes its span dump there.
 PYTHONPATH=src python -m repro fleet run --count 4 --workers 2 --duration 1.0 \
-    --out "$fleet_tmp/FLEET_check.json" --metrics-out "$fleet_tmp/fleet.om" >/dev/null || status=1
+    --out "$fleet_tmp/FLEET_check.json" --metrics-out "$fleet_tmp/fleet.om" \
+    --trace-dir "$fleet_tmp/traces/new" --trace-out "$fleet_tmp/fleet_trace.json" \
+    >/dev/null || status=1
 if ! grep -q "^# EOF" "$fleet_tmp/fleet.om"; then
     echo "check.sh: OpenMetrics exposition missing '# EOF' terminator" >&2
+    status=1
+fi
+if [[ ! -s "$fleet_tmp/fleet_trace.json" ]]; then
+    echo "check.sh: fleet run --trace-out wrote no stitched trace" >&2
+    status=1
+fi
+if ! python3 -c 'import json, sys; sys.exit(json.load(open(sys.argv[1]))["fleet"]["by_status"].get("crashed", 0) > 0)' \
+    "$fleet_tmp/FLEET_check.json"; then
+    echo "check.sh: fleet run rollup reports a crashed drive" >&2
     status=1
 fi
 rm -rf "$fleet_tmp"

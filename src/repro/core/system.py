@@ -20,7 +20,7 @@ switch plan and one blind window.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from repro.adaptive.controller import ConditionChange, ControllerConfig, LightingController
 from repro.adaptive.policy import (
@@ -38,7 +38,7 @@ from repro.monitor.session import NULL_MONITOR, Monitor
 from repro.quality.observer import DETECTION_IOU_BUCKETS, NULL_QUALITY
 from repro.telemetry.session import NULL_TELEMETRY, Telemetry
 from repro.zynq.bitstream import BitstreamRepository, paper_bitstreams
-from repro.zynq.pr import BasePrController, PaperPrController, ReconfigReport
+from repro.zynq.pr import ALL_CONTROLLERS, BasePrController, PaperPrController, ReconfigReport
 from repro.zynq.soc import ZynqSoC
 
 
@@ -117,6 +117,32 @@ class SystemConfig:
                 "controller_cls must be a BasePrController subclass, got "
                 f"{self.controller_cls!r}"
             )
+
+    def to_dict(self) -> dict:
+        """JSON-safe dict form: the PR controller by name, the condition by value."""
+        data = asdict(self)
+        data["controller_cls"] = self.controller_cls.name
+        data["initial_condition"] = self.initial_condition.value
+        return data
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "SystemConfig":
+        """Rebuild a config from :meth:`to_dict` output."""
+        controllers = {c.name: c for c in ALL_CONTROLLERS}
+        name = data["controller_cls"]
+        if name not in controllers:
+            raise ConfigurationError(
+                f"unknown PR controller {name!r} (known: {sorted(controllers)})"
+            )
+        return cls(
+            **{
+                **data,
+                "controller": ControllerConfig(**data["controller"]),
+                "controller_cls": controllers[name],
+                "initial_condition": LightingCondition(data["initial_condition"]),
+                "degradation": DegradationPolicy(**data["degradation"]),
+            }
+        )
 
 
 @dataclass

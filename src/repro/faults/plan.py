@@ -17,10 +17,8 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Callable, Iterable, Sequence
-
-import numpy as np
 
 from repro.errors import FaultInjectionError
 from repro.rng import make_rng
@@ -77,6 +75,24 @@ class FaultSpec:
         if self.max_firings is not None and self.max_firings < 1:
             raise FaultInjectionError(f"max_firings must be >= 1, got {self.max_firings}")
 
+    def to_dict(self) -> dict:
+        """JSON-safe dict form: the site by value, an open window as ``None``."""
+        data = asdict(self)
+        data["site"] = self.site.value
+        data["end_s"] = None if math.isinf(self.end_s) else self.end_s
+        return data
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "FaultSpec":
+        end_s = data["end_s"]
+        return cls(
+            **{
+                **data,
+                "site": FaultSite(data["site"]),
+                "end_s": math.inf if end_s is None else end_s,
+            }
+        )
+
     def matches(self, site: FaultSite, target: str, time_s: float) -> bool:
         return (
             self.site is site
@@ -124,6 +140,15 @@ class FaultPlan:
 
     def __len__(self) -> int:
         return len(self.specs)
+
+    def to_dict(self) -> dict:
+        """The script as plain data (the audit log is not part of it)."""
+        return {"name": self.name, "specs": [spec.to_dict() for spec in self.specs]}
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "FaultPlan":
+        """A fresh, fully armed plan from :meth:`to_dict` output."""
+        return cls([FaultSpec.from_dict(spec) for spec in data["specs"]], name=data["name"])
 
     def _armed(self, index: int) -> bool:
         spec = self.specs[index]

@@ -18,8 +18,9 @@ test of this subsystem).
 from __future__ import annotations
 
 import json
+from dataclasses import asdict
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from repro.core.spec import NONDETERMINISTIC_KEYS
 from repro.errors import FleetError
@@ -32,6 +33,9 @@ from repro.fleet.outcome import (
 )
 from repro.quality.records import merge_summaries
 from repro.telemetry.metrics import merge_snapshots
+
+if TYPE_CHECKING:
+    from repro.fleet.scheduler import FleetConfig
 
 FLEET_SCHEMA = "repro.fleet/rollup"
 # v2: the required "quality" section (merged per-condition detection
@@ -79,7 +83,7 @@ def build_rollup(
     outcomes: Sequence["DriveOutcome | Mapping"],
     rejected: Sequence["DriveOutcome | Mapping"] = (),
     events_by_kind: Mapping[str, int] | None = None,
-    config: "object | None" = None,
+    config: "FleetConfig | None" = None,
     elapsed_s: float | None = None,
 ) -> dict:
     """Fold drive outcomes (plus admission rejections) into one rollup."""
@@ -144,14 +148,10 @@ def build_rollup(
         verdict_key = outcome.hang_verdict or "unknown"
         timeouts_by_verdict[verdict_key] = timeouts_by_verdict.get(verdict_key, 0) + 1
 
-    config_dict: dict = {}
-    if config is not None:
-        config_dict = config.to_dict() if hasattr(config, "to_dict") else dict(config)  # type: ignore[arg-type]
-
     return {
         "schema": FLEET_SCHEMA,
         "schema_version": FLEET_SCHEMA_VERSION,
-        "config": config_dict,
+        "config": asdict(config) if config is not None else {},
         "fleet": {
             "drives": executed,
             "ok": by_status.get("ok", 0),

@@ -47,12 +47,7 @@ from repro.fleet.events import check_fleet_event_kind
 from repro.fleet.outcome import DriveOutcome
 from repro.fleet.status import StatusBoard
 from repro.fleet.worker import execute_spec, worker_main
-from repro.monitor.liveness import (
-    DEFAULT_HEARTBEAT_INTERVAL_S,
-    DEFAULT_HUNG_AFTER_S,
-    DEFAULT_SUSPECT_AFTER_S,
-    LivenessConfig,
-)
+from repro.monitor.liveness import LivenessConfig
 from repro.telemetry import Telemetry
 
 #: Bound on every process ``join`` in the scheduler.  Joins happen on
@@ -65,6 +60,12 @@ JOIN_TIMEOUT_S = 5.0
 #: when it is full (``put_nowait``), so the bound caps memory without
 #: ever back-pressuring drive execution.
 STATUS_QUEUE_CAPACITY = 4096
+
+#: The live plane's heartbeat cadence and suspect/hung thresholds.
+LIVENESS = LivenessConfig()
+
+#: Scheduler idle-poll period while waiting on workers.
+POLL_INTERVAL_S = 0.02
 
 
 def _reap(process: Any) -> None:
@@ -98,16 +99,10 @@ class FleetConfig:
             the rollup's ``deterministic_view`` strips every
             quality-derived value, so a scored fleet byte-matches an
             unscored one.
-        poll_interval_s: Scheduler idle-poll period while waiting on
-            workers.
         streaming: Run the live plane (worker heartbeats, status
             snapshots, hung-vs-deadline timeout verdicts) in sharded
             mode.  Inline mode has no worker processes, hence no plane.
-        heartbeat_interval_s: Cadence workers beat at.
-        suspect_after_s: Heartbeat age past which a running worker is
-            reported ``suspect`` (must exceed the beat interval).
-        hung_after_s: Heartbeat age past which a running worker is
-            judged ``hung`` (must exceed ``suspect_after_s``).
+            Its heartbeat thresholds are :data:`LIVENESS`.
         status_interval_s: How often the scheduler publishes a
             ``FleetStatus`` snapshot to its listeners.
         trace_dir: Directory for per-drive span dumps (and the stitched
@@ -121,11 +116,7 @@ class FleetConfig:
     monitored: bool = True
     record_latency: bool = True
     quality: bool = False
-    poll_interval_s: float = 0.02
     streaming: bool = True
-    heartbeat_interval_s: float = DEFAULT_HEARTBEAT_INTERVAL_S
-    suspect_after_s: float = DEFAULT_SUSPECT_AFTER_S
-    hung_after_s: float = DEFAULT_HUNG_AFTER_S
     status_interval_s: float = 1.0
     trace_dir: str | None = None
 
@@ -136,51 +127,10 @@ class FleetConfig:
             raise FleetError(f"queue_capacity must be >= 1, got {self.queue_capacity}")
         if self.drive_timeout_s <= 0:
             raise FleetError(f"drive_timeout_s must be positive, got {self.drive_timeout_s}")
-        if self.poll_interval_s <= 0:
-            raise FleetError(f"poll_interval_s must be positive, got {self.poll_interval_s}")
         if self.status_interval_s <= 0:
             raise FleetError(
                 f"status_interval_s must be positive, got {self.status_interval_s}"
             )
-        if self.heartbeat_interval_s <= 0:
-            raise FleetError(
-                f"heartbeat_interval_s must be positive, got {self.heartbeat_interval_s}"
-            )
-        if self.suspect_after_s <= self.heartbeat_interval_s:
-            raise FleetError(
-                f"suspect_after_s ({self.suspect_after_s}) must exceed "
-                f"heartbeat_interval_s ({self.heartbeat_interval_s})"
-            )
-        if self.hung_after_s <= self.suspect_after_s:
-            raise FleetError(
-                f"hung_after_s ({self.hung_after_s}) must exceed "
-                f"suspect_after_s ({self.suspect_after_s})"
-            )
-
-    def liveness(self) -> LivenessConfig:
-        return LivenessConfig(
-            heartbeat_interval_s=self.heartbeat_interval_s,
-            suspect_after_s=self.suspect_after_s,
-            hung_after_s=self.hung_after_s,
-        )
-
-    def to_dict(self) -> dict:
-        return {
-            "workers": self.workers,
-            "queue_capacity": self.queue_capacity,
-            "drive_timeout_s": self.drive_timeout_s,
-            "incidents_dir": self.incidents_dir,
-            "monitored": self.monitored,
-            "record_latency": self.record_latency,
-            "quality": self.quality,
-            "poll_interval_s": self.poll_interval_s,
-            "streaming": self.streaming,
-            "heartbeat_interval_s": self.heartbeat_interval_s,
-            "suspect_after_s": self.suspect_after_s,
-            "hung_after_s": self.hung_after_s,
-            "status_interval_s": self.status_interval_s,
-            "trace_dir": self.trace_dir,
-        }
 
 
 @dataclass(frozen=True)
@@ -292,6 +242,9 @@ class FleetScheduler:
         """
         tasks = list(self.pending)
         self.pending = []
+        if self.config.trace_dir is not None:
+            # Workers write their span dumps straight into it.
+            Path(self.config.trace_dir).mkdir(parents=True, exist_ok=True)
         self.fleet_event(
             "fleet.run.start", drives=len(tasks), workers=self.config.workers
         )
@@ -351,9 +304,7 @@ class FleetScheduler:
         streaming = self.config.streaming
         if streaming:
             self._status_queue = ctx.Queue(STATUS_QUEUE_CAPACITY)
-            self.board = StatusBoard(
-                liveness=self.config.liveness(), now_s=time.monotonic()
-            )
+            self.board = StatusBoard(liveness=LIVENESS, now_s=time.monotonic())
         slots = [_WorkerSlot(worker_id=wid) for wid in range(self.config.workers)]
         for slot in slots:
             slot.task_queue = ctx.Queue()
@@ -373,7 +324,7 @@ class FleetScheduler:
                     self._publish_status(now_s, len(backlog), phase="running")
                     next_status_s = now_s + self.config.status_interval_s
                 if not progressed:
-                    time.sleep(self.config.poll_interval_s)
+                    time.sleep(POLL_INTERVAL_S)
         finally:
             self._shutdown(slots)
             if streaming:
@@ -393,7 +344,7 @@ class FleetScheduler:
                 self.config.monitored,
                 self.config.record_latency,
                 self._status_queue,
-                self.config.heartbeat_interval_s,
+                LIVENESS.heartbeat_interval_s,
                 self.config.trace_dir,
                 self.config.quality,
             ),

@@ -33,7 +33,7 @@ from typing import Any
 
 from repro.errors import FleetError
 from repro.telemetry import Telemetry, TelemetryDump, load_dump
-from repro.telemetry.exporters import _PARENT_ID_KEY, _SPAN_ID_KEY, _WALL_MS_KEY, _track
+from repro.telemetry.exporters import _track, chrome_span_events
 from repro.telemetry.spans import Span
 
 #: The scheduler's process lane in the stitched trace.
@@ -63,12 +63,6 @@ def _span_pid(span: Span, default_pid: int) -> int:
     if worker is None:
         return default_pid
     return worker_pid(int(worker))
-
-
-def _jsonable(value: Any) -> Any:
-    if isinstance(value, (str, int, float, bool)) or value is None:
-        return value
-    return str(value)
 
 
 def stitch_fleet_trace(
@@ -122,39 +116,16 @@ def stitch_fleet_trace(
     labels_of_pid: dict[int, str] = {}
     for pid, label, track, span in placed:
         labels_of_pid.setdefault(pid, label)
-        tid = tid_of[(pid, track)]
-        args = {k: _jsonable(v) for k, v in span.attrs.items()}
-        args[_SPAN_ID_KEY] = span.span_id
-        if span.parent_id is not None:
-            args[_PARENT_ID_KEY] = span.parent_id
-        args[_WALL_MS_KEY] = round(span.wall_duration_s * 1e3, 6)
         wall_end_s = span.wall_end_s if span.wall_end_s is not None else span.wall_start_s
-        events.append(
-            {
-                "name": span.name,
-                "ph": "X",
-                "pid": pid,
-                "tid": tid,
-                "ts": round((span.wall_start_s - t0_s) * 1e6, 3),
-                "dur": round((wall_end_s - span.wall_start_s) * 1e6, 3),
-                "args": args,
-            }
-        )
-        for ev in span.events:
-            events.append(
-                {
-                    "name": ev.name,
-                    "ph": "i",
-                    "s": "t",
-                    "pid": pid,
-                    "tid": tid,
-                    "ts": round((span.wall_start_s - t0_s) * 1e6, 3),
-                    "args": {
-                        **{k: _jsonable(v) for k, v in ev.attrs.items()},
-                        _PARENT_ID_KEY: span.span_id,
-                    },
-                }
+        events.extend(
+            chrome_span_events(
+                span,
+                pid,
+                tid_of[(pid, track)],
+                round((span.wall_start_s - t0_s) * 1e6, 3),
+                round((wall_end_s - span.wall_start_s) * 1e6, 3),
             )
+        )
     for pid, label in sorted(labels_of_pid.items()):
         events.append(
             {

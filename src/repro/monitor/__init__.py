@@ -37,7 +37,7 @@ from repro.monitor.recorder import (
 )
 from repro.monitor.session import (
     NULL_MONITOR,
-    DEFAULT_ZYNQ_EVENT_KINDS,
+    SNAPSHOT_ZYNQ_EVENT_KINDS,
     Monitor,
     MonitorConfig,
     NullMonitor,
@@ -60,7 +60,6 @@ __all__ = [
     "DEFAULT_HEARTBEAT_INTERVAL_S",
     "DEFAULT_HUNG_AFTER_S",
     "DEFAULT_SUSPECT_AFTER_S",
-    "DEFAULT_ZYNQ_EVENT_KINDS",
     "LIVENESS_STATES",
     "LivenessConfig",
     "MONITOR_EVENT_KINDS",
@@ -68,6 +67,7 @@ __all__ = [
     "PAPER_FRAME_BUDGET_MS",
     "PAPER_ICAP_MBS",
     "PAPER_RECONFIG_MS",
+    "SNAPSHOT_ZYNQ_EVENT_KINDS",
     "FlightRecorder",
     "FrameSnapshot",
     "HealthMonitor",

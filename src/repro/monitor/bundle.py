@@ -24,8 +24,11 @@ from typing import Any
 from repro.errors import ConfigurationError
 from repro.monitor.recorder import FrameSnapshot, TriggerEvent
 
-#: Bump on any incompatible change to manifest/records shapes.
-BUNDLE_SCHEMA_VERSION = 1
+#: Bump on any incompatible change to manifest/records shapes.  Version 2
+#: stores each config in its own dict form: ``monitor`` is
+#: ``MonitorConfig.to_dict()``, ``drive.system`` ``SystemConfig.to_dict()``
+#: and ``drive.fault_plan`` ``FaultPlan.to_dict()``.
+BUNDLE_SCHEMA_VERSION = 2
 
 MANIFEST_NAME = "manifest.json"
 RECORDS_NAME = "records.jsonl"

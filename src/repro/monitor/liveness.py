@@ -64,13 +64,6 @@ class LivenessConfig:
                 f"suspect_after_s ({self.suspect_after_s})"
             )
 
-    def to_dict(self) -> dict:
-        return {
-            "heartbeat_interval_s": self.heartbeat_interval_s,
-            "suspect_after_s": self.suspect_after_s,
-            "hung_after_s": self.hung_after_s,
-        }
-
 
 class WorkerLiveness:
     """Liveness for one worker, judged purely from observation times.

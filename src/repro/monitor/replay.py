@@ -16,23 +16,16 @@ the other way here would close an import cycle).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.adaptive.controller import ControllerConfig
 from repro.adaptive.sensor import LightSensor, LuxTrace
-from repro.core.system import AdaptiveDetectionSystem, DegradationPolicy, SystemConfig
-from repro.datasets.lighting import LightingCondition
+from repro.core.system import AdaptiveDetectionSystem, SystemConfig
 from repro.errors import MonitoringError
-from repro.faults.plan import FaultPlan, FaultSite, FaultSpec
+from repro.faults.plan import FaultPlan
 from repro.monitor.bundle import IncidentBundle, load_bundle
 from repro.monitor.recorder import IncidentWindow
 from repro.monitor.session import Monitor, MonitorConfig, canonical_frame_bytes
-from repro.monitor.slo import SloBudgets
-from repro.zynq.pr import ALL_CONTROLLERS
-
-CONTROLLER_BY_NAME = {cls.name: cls for cls in ALL_CONTROLLERS}
 
 
 @dataclass
@@ -57,45 +50,6 @@ class ReplayResult:
         }
 
 
-def _plan_from_manifest(plan_dict: dict | None) -> FaultPlan | None:
-    if plan_dict is None:
-        return None
-    specs = [
-        FaultSpec(
-            site=FaultSite(spec["site"]),
-            target=spec["target"],
-            start_s=spec["start_s"],
-            end_s=math.inf if spec["end_s"] is None else spec["end_s"],
-            magnitude=spec["magnitude"],
-            max_firings=spec["max_firings"],
-        )
-        for spec in plan_dict["specs"]
-    ]
-    return FaultPlan(specs, name=plan_dict.get("name", "replayed"))
-
-
-def _monitor_from_manifest(manifest: dict) -> Monitor:
-    recorder = manifest.get("recorder", {})
-    policy = manifest.get("triggers_policy", {})
-    config = MonitorConfig(
-        out_dir=None,
-        budgets=SloBudgets(**manifest["budgets"]),
-        capacity=recorder.get("capacity", 512),
-        pre_roll=recorder.get("pre_roll", 32),
-        post_roll=recorder.get("post_roll", 16),
-        cooldown_frames=recorder.get("cooldown_frames", 64),
-        max_incidents=recorder.get("max_incidents", 16),
-        trigger_on_fault=policy.get("on_fault", True),
-        trigger_on_reconfig_failure=policy.get("on_reconfig_failure", True),
-        trigger_on_critical=policy.get("on_critical", True),
-        trigger_on_deadline=policy.get("on_deadline", False),
-        trigger_on_quality=policy.get("on_quality", True),
-        wall_clock_slos=manifest.get("wall_clock_slos", True),
-        quality_slos=manifest.get("quality_slos", True),
-    )
-    return Monitor(config)
-
-
 def rebuild_drive(
     manifest: dict,
 ) -> tuple[AdaptiveDetectionSystem, LuxTrace, LightSensor, float, Monitor]:
@@ -106,7 +60,7 @@ def rebuild_drive(
             "bundle manifest carries no 'drive' section; cannot replay"
         )
     trace = LuxTrace(points=tuple((float(t), float(lux)) for t, lux in drive["trace_points"]))
-    plan = _plan_from_manifest(drive.get("fault_plan"))
+    plan = None if drive["fault_plan"] is None else FaultPlan.from_dict(drive["fault_plan"])
     sensor_cfg = drive["sensor"]
     sensor = LightSensor(
         trace,
@@ -115,23 +69,8 @@ def rebuild_drive(
         seed=sensor_cfg["seed"],
         faults=plan,
     )
-    system_cfg = drive["system"]
-    controller_name = system_cfg["pr_controller"]
-    controller_cls = CONTROLLER_BY_NAME.get(controller_name)
-    if controller_cls is None:
-        raise MonitoringError(
-            f"bundle names unknown PR controller {controller_name!r} "
-            f"(known: {sorted(CONTROLLER_BY_NAME)})"
-        )
-    config = SystemConfig(
-        fps=system_cfg["fps"],
-        controller=ControllerConfig(**system_cfg["controller"]),
-        controller_cls=controller_cls,
-        sensor_period_s=system_cfg["sensor_period_s"],
-        initial_condition=LightingCondition(system_cfg["initial_condition"]),
-        degradation=DegradationPolicy(**system_cfg["degradation"]),
-    )
-    monitor = _monitor_from_manifest(manifest)
+    config = SystemConfig.from_dict(drive["system"])
+    monitor = Monitor(MonitorConfig.from_dict(manifest["monitor"]))
     # A drive recorded with the quality plane attached must replay with an
     # identical observer: its records feed the quality SLOs, so the health
     # walk (and therefore the trigger window) depends on them.

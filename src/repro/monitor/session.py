@@ -12,18 +12,17 @@ to one built before the monitor existed.
 
 The monitor is a *pure consumer* of the simulation: it never schedules
 events, never mutates SoC state, and never touches an RNG.  Incident
-triggers are restricted to sim-deterministic causes by default (fault
-firings, failed reconfigurations, CRITICAL health transitions), so a
-recorded window replays byte-identically from the bundle manifest;
-wall-clock deadline triggers exist but are opt-in precisely because a
-replay on different hardware cannot reproduce them.
+triggers are restricted to sim-deterministic causes (fault firings,
+failed reconfigurations, CRITICAL health transitions, quality SLOs), so a
+recorded window replays byte-identically from the bundle manifest.  A
+frame-deadline miss is a wall-clock fact a replay on other hardware
+cannot reproduce, so it only ever feeds the health state.
 """
 
 from __future__ import annotations
 
 import json
-import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
@@ -38,6 +37,7 @@ from repro.monitor.recorder import (
     TriggerEvent,
 )
 from repro.monitor.slo import HealthMonitor, HealthState, SloBudgets
+from repro.telemetry.exporters import jsonable
 from repro.telemetry.session import NULL_TELEMETRY, Telemetry
 
 if TYPE_CHECKING:
@@ -47,10 +47,10 @@ if TYPE_CHECKING:
     from repro.faults.plan import DegradationEvent, FaultEvent
     from repro.zynq.pr import ReconfigReport
 
-#: Typed zynq events worth keeping per-frame context for.  The per-frame
+#: Typed zynq events copied into frame snapshots.  The per-frame
 #: ``dma.start``/``dma.done`` flood is deliberately excluded: at 50 fps it
 #: would dominate every snapshot without saying anything a fault would not.
-DEFAULT_ZYNQ_EVENT_KINDS: frozenset[str] = frozenset(
+SNAPSHOT_ZYNQ_EVENT_KINDS: frozenset[str] = frozenset(
     {
         "dma.error",
         "dma.stall",
@@ -113,9 +113,6 @@ class MonitorConfig:
         trigger_on_fault: Freeze a window on every fault-plan firing.
         trigger_on_reconfig_failure: Freeze on a failed reconfiguration.
         trigger_on_critical: Freeze when health transitions to CRITICAL.
-        trigger_on_deadline: Freeze on a frame-deadline overrun.  Off by
-            default: wall-clock triggers are host-dependent, and windows
-            they open would not reproduce under ``incident replay``.
         trigger_on_quality: Freeze when a quality SLO fires
             (``quality-degraded`` windows).  Quality records come from the
             seeded ground-truth model — sim-deterministic — so these
@@ -133,8 +130,6 @@ class MonitorConfig:
             ``wall_clock_slos``: fleet verdicts stay quality-blind, so a
             quality-scored fleet folds the same OK/DEGRADED/CRITICAL
             verdicts as an unscored one (the non-perturbation contract).
-        zynq_event_kinds: Typed trace events copied into frame snapshots.
-        include_spans: Copy overlapping telemetry spans into bundles.
     """
 
     out_dir: str | None = None
@@ -147,30 +142,21 @@ class MonitorConfig:
     trigger_on_fault: bool = True
     trigger_on_reconfig_failure: bool = True
     trigger_on_critical: bool = True
-    trigger_on_deadline: bool = False
     trigger_on_quality: bool = True
     wall_clock_slos: bool = True
     quality_slos: bool = True
-    zynq_event_kinds: frozenset[str] = DEFAULT_ZYNQ_EVENT_KINDS
-    include_spans: bool = True
 
-    def recorder_dict(self) -> dict:
-        return {
-            "capacity": self.capacity,
-            "pre_roll": self.pre_roll,
-            "post_roll": self.post_roll,
-            "cooldown_frames": self.cooldown_frames,
-            "max_incidents": self.max_incidents,
-        }
+    def to_dict(self) -> dict:
+        """JSON-safe dict form; ``out_dir`` says where bundles go, not how
+        the drive was watched, so a replay never writes bundles."""
+        data = asdict(self)
+        del data["out_dir"]
+        return data
 
-    def triggers_dict(self) -> dict:
-        return {
-            "on_fault": self.trigger_on_fault,
-            "on_reconfig_failure": self.trigger_on_reconfig_failure,
-            "on_critical": self.trigger_on_critical,
-            "on_deadline": self.trigger_on_deadline,
-            "on_quality": self.trigger_on_quality,
-        }
+    @classmethod
+    def from_dict(cls, data: dict) -> "MonitorConfig":
+        """Rebuild a config from :meth:`to_dict` output."""
+        return cls(**{**data, "budgets": SloBudgets(**data["budgets"])})
 
 
 class NullMonitor:
@@ -238,7 +224,8 @@ class Monitor:
         self.events: list[dict] = []
         #: Paths of bundles written this session (empty when out_dir=None).
         self.bundles: list[Path] = []
-        self._provenance: dict = {}
+        #: The current drive's replay inputs: every bundle's manifest body.
+        self.provenance: dict = {}
         self._system: "AdaptiveDetectionSystem | None" = None
         self._fault_listener = None
         self._trace_listener = None
@@ -288,14 +275,14 @@ class Monitor:
             self._fault_listener = on_fault
 
         def on_trace_event(time_s: float, source: str, kind: str, attrs: dict) -> None:
-            if kind in self.config.zynq_event_kinds:
-                self._recent_events.append(
-                    {"time_s": time_s, "source": source, "kind": kind, **_jsonable(attrs)}
-                )
+            if kind in SNAPSHOT_ZYNQ_EVENT_KINDS:
+                event = {"time_s": time_s, "source": source, "kind": kind}
+                event.update((key, jsonable(value)) for key, value in attrs.items())
+                self._recent_events.append(event)
 
         system.soc.trace.listeners.append(on_trace_event)
         self._trace_listener = on_trace_event
-        self._provenance = self._build_provenance(system, trace, sensor, duration_s, n_frames)
+        self.provenance = self._build_provenance(system, trace, sensor, duration_s, n_frames)
 
     def _build_provenance(
         self,
@@ -305,33 +292,10 @@ class Monitor:
         duration_s: float,
         n_frames: int,
     ) -> dict:
-        config = system.config
-        controller = config.controller
-        degradation = config.degradation
         plan = system.fault_plan
-        plan_dict = None
-        if plan is not None:
-            plan_dict = {
-                "name": plan.name,
-                "specs": [
-                    {
-                        "site": spec.site.value,
-                        "target": spec.target,
-                        "start_s": spec.start_s,
-                        "end_s": None if math.isinf(spec.end_s) else spec.end_s,
-                        "magnitude": spec.magnitude,
-                        "max_firings": spec.max_firings,
-                    }
-                    for spec in plan.specs
-                ],
-            }
         return {
             "repro_version": __version__,
-            "budgets": self.config.budgets.to_dict(),
-            "recorder": self.config.recorder_dict(),
-            "triggers_policy": self.config.triggers_dict(),
-            "wall_clock_slos": self.config.wall_clock_slos,
-            "quality_slos": self.config.quality_slos,
+            "monitor": self.config.to_dict(),
             # Everything needed to reattach an identical quality observer
             # on replay (None when the drive ran unscored).
             "quality": (
@@ -347,28 +311,8 @@ class Monitor:
                     "dropout_probability": sensor.dropout_probability,
                     "seed": sensor.seed,
                 },
-                "fault_plan": plan_dict,
-                "system": {
-                    "fps": config.fps,
-                    "sensor_period_s": config.sensor_period_s,
-                    "initial_condition": config.initial_condition.value,
-                    "pr_controller": config.controller_cls.name,
-                    "controller": {
-                        "day_dusk_lux": controller.day_dusk_lux,
-                        "dusk_dark_lux": controller.dusk_dark_lux,
-                        "hysteresis": controller.hysteresis,
-                        "min_dwell_s": controller.min_dwell_s,
-                        "confirm_samples": controller.confirm_samples,
-                    },
-                    "degradation": {
-                        "max_reconfig_retries": degradation.max_reconfig_retries,
-                        "backoff_initial_s": degradation.backoff_initial_s,
-                        "backoff_factor": degradation.backoff_factor,
-                        "backoff_max_s": degradation.backoff_max_s,
-                        "pr_timeout_s": degradation.pr_timeout_s,
-                        "repair_bitstreams": degradation.repair_bitstreams,
-                    },
-                },
+                "fault_plan": None if plan is None else plan.to_dict(),
+                "system": system.config.to_dict(),
             },
         }
 
@@ -404,7 +348,6 @@ class Monitor:
         record: "FrameRecord",
         expected_configuration: str,
         wall_ms: float | None = None,
-        detections: float | None = None,
         quality=None,
     ) -> None:
         """Fold one finished frame into health + recorder state.
@@ -421,7 +364,6 @@ class Monitor:
             time_s,
             wall_ms=wall_ms if self.config.wall_clock_slos else None,
             degraded=record.degraded,
-            detections=detections,
             quality=quality if self.config.quality_slos else None,
         )
         for violation in violations:
@@ -453,11 +395,6 @@ class Monitor:
                 and transition.new is HealthState.CRITICAL
             ):
                 self._trigger("health-critical", time_s, transition.reason)
-        if self.config.trigger_on_deadline:
-            for violation in violations:
-                if violation.slo == "frame-deadline":
-                    self._trigger("frame-deadline", time_s, violation.detail)
-                    break
         if self.config.trigger_on_quality:
             for violation in violations:
                 if violation.slo.startswith("quality-"):
@@ -562,7 +499,7 @@ class Monitor:
         ordinal = len(self.recorder.incidents) - 1
         trigger = window.triggers[0]
         incident_id = f"incident-{ordinal:03d}-{trigger.kind}"
-        manifest = dict(self._provenance)
+        manifest = dict(self.provenance)
         manifest["incident_id"] = incident_id
         manifest["trigger"] = trigger.to_dict()
         start, end = window.start_index, window.end_index
@@ -577,7 +514,7 @@ class Monitor:
             if t.frame_index is not None and start <= t.frame_index <= end
         ]
         spans: list[dict] = []
-        if self.config.include_spans and self.telemetry.tracer.enabled and window.snapshots:
+        if self.telemetry.tracer.enabled and window.snapshots:
             t0 = window.snapshots[0].time_s
             t1 = window.snapshots[-1].time_s
             for span in self.telemetry.tracer.spans:
@@ -652,14 +589,3 @@ class Monitor:
             "triggers": len(self.triggers),
             "incidents": len(self.recorder.incidents),
         }
-
-
-def _jsonable(attrs: dict) -> dict:
-    """Coerce trace-event attributes to JSON-safe primitives."""
-    out: dict[str, Any] = {}
-    for key, value in attrs.items():
-        if isinstance(value, (str, int, float, bool)) or value is None:
-            out[key] = value
-        else:
-            out[key] = str(value)
-    return out

@@ -9,8 +9,8 @@ folds every violation into a single :class:`HealthState`:
 * **OK** — every budget held over the recovery window;
 * **DEGRADED** — a budget was missed but the system is still adapting
   (slow frame, reconfig overrun, ICAP below its floor, condition-switch
-  flapping, a detections-per-frame anomaly, or a fallback configuration
-  in effect);
+  flapping, a detection-quality slide, or a fallback configuration in
+  effect);
 * **CRITICAL** — the adaptation machinery itself failed (a reconfiguration
   failed or was abandoned) and the vehicle side can no longer be trusted
   to match the lighting condition.
@@ -69,11 +69,6 @@ class SloBudgets:
         flap_window_s: Trailing window for condition-change flap detection.
         flap_max_changes: Condition changes tolerated inside the window
             before the controller counts as flapping.
-        anomaly_window: Trailing frame count for the detections-per-frame
-            MAD estimator.
-        anomaly_min_samples: Samples required before the estimator engages.
-        anomaly_mad_k: Modified-z threshold (in MAD units) beyond which a
-            detections count is anomalous.
         recovery_frames: Consecutive clean frames before the health state
             steps down one severity level.
         quality_window: Trailing scored-frame count for the windowed
@@ -90,9 +85,9 @@ class SloBudgets:
         quality_drift_mad_k: Modified-z threshold (in MAD units) for the
             recall drift detector.
         quality_drift_floor: MAD floor for the drift detector; recall
-            lives in [0, 1], so the flat-window fallback must be much
-            finer than the detections-count one (a 0.05 floor with k=4
-            flags a 0.2+ absolute recall drop, ignores ±0.03 noise).
+            lives in [0, 1], so the flat-window fallback is a fine
+            absolute one (a 0.05 floor with k=4 flags a 0.2+ absolute
+            recall drop, ignores ±0.03 noise).
     """
 
     frame_budget_ms: float = PAPER_FRAME_BUDGET_MS
@@ -101,9 +96,6 @@ class SloBudgets:
     icap_floor_mbs: float = PAPER_ICAP_MBS * 0.9
     flap_window_s: float = 30.0
     flap_max_changes: int = 3
-    anomaly_window: int = 64
-    anomaly_min_samples: int = 16
-    anomaly_mad_k: float = 5.0
     recovery_frames: int = 100
     quality_window: int = 64
     quality_min_samples: int = 16
@@ -122,10 +114,6 @@ class SloBudgets:
             raise ConfigurationError("icap_floor_mbs must be positive")
         if self.flap_window_s <= 0 or self.flap_max_changes < 1:
             raise ConfigurationError("flap window must be positive, max changes >= 1")
-        if self.anomaly_window < 2 or self.anomaly_min_samples < 2:
-            raise ConfigurationError("anomaly windows must hold at least 2 samples")
-        if self.anomaly_mad_k <= 0:
-            raise ConfigurationError("anomaly_mad_k must be positive")
         if self.recovery_frames < 1:
             raise ConfigurationError("recovery_frames must be >= 1")
         if self.quality_window < 2 or self.quality_min_samples < 2:
@@ -152,27 +140,6 @@ class SloBudgets:
             raise ConfigurationError(f"fps must be positive, got {fps}")
         overrides.setdefault("frame_budget_ms", 1e3 / fps)
         return cls(**overrides)
-
-    def to_dict(self) -> dict:
-        return {
-            "frame_budget_ms": self.frame_budget_ms,
-            "reconfig_budget_ms": self.reconfig_budget_ms,
-            "reconfig_margin_rel": self.reconfig_margin_rel,
-            "icap_floor_mbs": self.icap_floor_mbs,
-            "flap_window_s": self.flap_window_s,
-            "flap_max_changes": self.flap_max_changes,
-            "anomaly_window": self.anomaly_window,
-            "anomaly_min_samples": self.anomaly_min_samples,
-            "anomaly_mad_k": self.anomaly_mad_k,
-            "recovery_frames": self.recovery_frames,
-            "quality_window": self.quality_window,
-            "quality_min_samples": self.quality_min_samples,
-            "quality_recall_floor": self.quality_recall_floor,
-            "quality_collapse_recall": self.quality_collapse_recall,
-            "quality_fp_per_frame_max": self.quality_fp_per_frame_max,
-            "quality_drift_mad_k": self.quality_drift_mad_k,
-            "quality_drift_floor": self.quality_drift_floor,
-        }
 
 
 @dataclass(frozen=True)
@@ -245,7 +212,6 @@ class HealthMonitor:
         self.frames_observed = 0
         self._clean_streak = 0
         self._change_times: list[float] = []
-        self._detections: list[float] = []
         # Windowed detection-quality counts (scored frames only) and the
         # history of windowed recalls the drift detector compares against.
         self._quality_counts: list[tuple[int, int, int]] = []  # (tp, fp, fn)
@@ -337,7 +303,6 @@ class HealthMonitor:
         time_s: float,
         wall_ms: float | None,
         degraded: bool,
-        detections: float | None,
     ) -> list[SloViolation]:
         b = self.budgets
         found: list[SloViolation] = []
@@ -361,29 +326,6 @@ class HealthMonitor:
                     frame_index=index,
                 )
             )
-        if detections is not None:
-            if len(self._detections) >= b.anomaly_min_samples:
-                median = _median(self._detections)
-                mad = _median([abs(v - median) for v in self._detections])
-                # MAD of a flat window is 0; fall back to a one-count floor
-                # so constant traffic only flags genuinely different counts.
-                spread = max(mad, 1.0 / b.anomaly_mad_k)
-                if abs(detections - median) / spread > b.anomaly_mad_k:
-                    found.append(
-                        SloViolation(
-                            time_s=time_s,
-                            slo="detections-anomaly",
-                            severity=HealthState.DEGRADED,
-                            detail=(
-                                f"{detections:g} detections vs median {median:g} "
-                                f"(MAD {mad:g})"
-                            ),
-                            frame_index=index,
-                        )
-                    )
-            self._detections.append(float(detections))
-            if len(self._detections) > b.anomaly_window:
-                del self._detections[: len(self._detections) - b.anomaly_window]
         return found
 
     def _quality_violations(self, index: int, time_s: float, quality) -> list[SloViolation]:
@@ -458,8 +400,7 @@ class HealthMonitor:
             median = _median(self._recall_history)
             mad = _median([abs(v - median) for v in self._recall_history])
             # Recall lives in [0, 1]; a flat window's MAD is 0, so fall
-            # back to a fine absolute floor (not the one-count floor the
-            # detections estimator uses).  Only *downward* drift flags.
+            # back to a fine absolute floor.  Only *downward* drift flags.
             spread = max(mad, b.quality_drift_floor)
             if (median - recall) / spread > b.quality_drift_mad_k:
                 found.append(
@@ -487,7 +428,6 @@ class HealthMonitor:
         time_s: float,
         wall_ms: float | None = None,
         degraded: bool = False,
-        detections: float | None = None,
         quality=None,
     ) -> tuple[list[SloViolation], HealthTransition | None]:
         """Fold one frame (plus anything pending) into the health state.
@@ -500,9 +440,7 @@ class HealthMonitor:
         self.frames_observed += 1
         found = self._pending
         self._pending = []
-        found.extend(
-            self._frame_violations(index, time_s, wall_ms, degraded, detections)
-        )
+        found.extend(self._frame_violations(index, time_s, wall_ms, degraded))
         if quality is not None:
             found.extend(self._quality_violations(index, time_s, quality))
         found = [

@@ -26,11 +26,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 from repro.errors import ConfigurationError
 from repro.telemetry.session import Telemetry
-from repro.telemetry.spans import Span
+from repro.telemetry.spans import Span, SpanEvent
 
 TELEMETRY_FORMATS = ("jsonl", "chrome", "text", "openmetrics")
 
@@ -67,6 +67,63 @@ def export_jsonl(telemetry: Telemetry, path: str) -> None:
             fh.write(json.dumps({"type": "metric", **series}) + "\n")
 
 
+def jsonable(value: Any) -> Any:
+    """A span or event attribute as a JSON primitive (``str()`` otherwise)."""
+    if isinstance(value, (str, int, float, bool)) or value is None:
+        return value
+    return str(value)
+
+
+def chrome_span_events(
+    span: Span,
+    pid: int,
+    tid: int,
+    ts: float,
+    dur: float,
+    event_ts: "Callable[[SpanEvent], float] | None" = None,
+) -> list[dict]:
+    """One span as a complete (``"X"``) Chrome event plus one instant
+    (``"i"``) event per span event.
+
+    ``ts``/``dur`` are the span's trace microseconds; ``event_ts`` maps a
+    span event to its own timestamp (``None`` pins every instant at
+    ``ts``).  The span's ids and wall duration ride in reserved ``args``
+    keys so :func:`load_dump` can rebuild the span tree.
+    """
+    args = {k: jsonable(v) for k, v in span.attrs.items()}
+    args[_SPAN_ID_KEY] = span.span_id
+    if span.parent_id is not None:
+        args[_PARENT_ID_KEY] = span.parent_id
+    args[_WALL_MS_KEY] = round(span.wall_duration_s * 1e3, 6)
+    events = [
+        {
+            "name": span.name,
+            "ph": "X",
+            "pid": pid,
+            "tid": tid,
+            "ts": ts,
+            "dur": dur,
+            "args": args,
+        }
+    ]
+    for ev in span.events:
+        events.append(
+            {
+                "name": ev.name,
+                "ph": "i",
+                "s": "t",
+                "pid": pid,
+                "tid": tid,
+                "ts": ts if event_ts is None else event_ts(ev),
+                "args": {
+                    **{k: jsonable(v) for k, v in ev.attrs.items()},
+                    _PARENT_ID_KEY: span.span_id,
+                },
+            }
+        )
+    return events
+
+
 def export_chrome(telemetry: Telemetry, path: str) -> None:
     """Chrome ``trace_event`` JSON (open in Perfetto / chrome://tracing).
 
@@ -77,39 +134,17 @@ def export_chrome(telemetry: Telemetry, path: str) -> None:
     events: list[dict] = []
     tids: dict[str, int] = {}
     for span in telemetry.tracer.spans:
-        track = _track(span.name)
-        tid = tids.setdefault(track, len(tids) + 1)
-        args = {k: _jsonable(v) for k, v in span.attrs.items()}
-        args[_SPAN_ID_KEY] = span.span_id
-        if span.parent_id is not None:
-            args[_PARENT_ID_KEY] = span.parent_id
-        args[_WALL_MS_KEY] = round(span.wall_duration_s * 1e3, 6)
-        events.append(
-            {
-                "name": span.name,
-                "ph": "X",
-                "pid": 1,
-                "tid": tid,
-                "ts": span.start_s * 1e6,
-                "dur": span.duration_s * 1e6,
-                "args": args,
-            }
-        )
-        for ev in span.events:
-            events.append(
-                {
-                    "name": ev.name,
-                    "ph": "i",
-                    "s": "t",
-                    "pid": 1,
-                    "tid": tid,
-                    "ts": ev.time_s * 1e6,
-                    "args": {
-                        **{k: _jsonable(v) for k, v in ev.attrs.items()},
-                        _PARENT_ID_KEY: span.span_id,
-                    },
-                }
+        tid = tids.setdefault(_track(span.name), len(tids) + 1)
+        events.extend(
+            chrome_span_events(
+                span,
+                1,
+                tid,
+                span.start_s * 1e6,
+                span.duration_s * 1e6,
+                event_ts=lambda ev: ev.time_s * 1e6,
             )
+        )
     for track, tid in tids.items():
         events.append(
             {
@@ -151,12 +186,6 @@ def export(telemetry: Telemetry, path: str, format: str) -> None:
         raise ConfigurationError(
             f"unknown telemetry format {format!r}; expected one of {TELEMETRY_FORMATS}"
         )
-
-
-def _jsonable(value: Any) -> Any:
-    if isinstance(value, (str, int, float, bool)) or value is None:
-        return value
-    return str(value)
 
 
 # Loading -------------------------------------------------------------------

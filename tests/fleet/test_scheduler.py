@@ -25,6 +25,7 @@ from repro.fleet.scheduler import (
     run_fleet,
 )
 from repro.fleet.specs import sweep_specs
+from repro.fleet.trace import load_drive_dumps
 
 pytestmark = pytest.mark.fleet
 
@@ -100,6 +101,20 @@ class TestContainment:
         scheduler.submit_all(specs)
         outcomes = scheduler.run()
         assert [o.status for o in outcomes] == ["ok", "crashed", "timeout"]
+
+
+class TestTraceDir:
+    def test_missing_trace_dir_is_created_before_workers_start(self, tmp_path):
+        # Workers write drive-NNNN.jsonl straight into the trace dir; a
+        # path that does not exist yet must not crash every one of them.
+        trace_dir = tmp_path / "missing" / "traces"
+        scheduler = FleetScheduler(
+            FleetConfig(workers=1, drive_timeout_s=30.0, trace_dir=str(trace_dir))
+        )
+        scheduler.submit_all(sweep_specs(2, fleet_seed=5, duration_s=0.5))
+        outcomes = scheduler.run()
+        assert [o.status for o in outcomes] == ["ok", "ok"]
+        assert len(load_drive_dumps(trace_dir)) == 2
 
 
 class TestAdmissionControl:
@@ -192,7 +207,7 @@ class TestFleetConfig:
             {"workers": -1},
             {"queue_capacity": 0},
             {"drive_timeout_s": 0.0},
-            {"poll_interval_s": 0.0},
+            {"status_interval_s": 0.0},
         ],
     )
     def test_bad_configs_rejected(self, kwargs):

@@ -16,11 +16,13 @@ import json
 
 import pytest
 
+from repro.fleet import scheduler as scheduler_module
 from repro.fleet.outcome import HANG_VERDICTS
 from repro.fleet.rollup import deterministic_view, validate_rollup
 from repro.fleet.scheduler import FleetConfig, FleetScheduler, run_fleet
 from repro.fleet.specs import sweep_specs
 from repro.fleet.status import validate_status
+from repro.monitor.liveness import LivenessConfig
 
 pytestmark = pytest.mark.fleet
 
@@ -29,18 +31,20 @@ def canonical(view: dict) -> str:
     return json.dumps(view, sort_keys=True)
 
 
-#: Tight liveness for chaos tests: beats every 50 ms, suspect after
-#: 300 ms of silence, hung after 600 ms, drive deadline at 2 s — so a
-#: silent worker is judged hung well before its deadline fires.
-def chaos_config(**overrides) -> FleetConfig:
-    defaults = dict(
-        workers=2,
-        drive_timeout_s=2.0,
-        heartbeat_interval_s=0.05,
-        suspect_after_s=0.3,
-        hung_after_s=0.6,
-        status_interval_s=0.2,
+@pytest.fixture()
+def tight_liveness(monkeypatch):
+    """Tight liveness for chaos tests: beats every 50 ms, suspect after
+    300 ms of silence, hung after 600 ms, so a silent worker is judged
+    hung well before the 2 s drive deadline of :func:`chaos_config`."""
+    monkeypatch.setattr(
+        scheduler_module,
+        "LIVENESS",
+        LivenessConfig(heartbeat_interval_s=0.05, suspect_after_s=0.3, hung_after_s=0.6),
     )
+
+
+def chaos_config(**overrides) -> FleetConfig:
+    defaults = dict(workers=2, drive_timeout_s=2.0, status_interval_s=0.2)
     defaults.update(overrides)
     return FleetConfig(**defaults)
 
@@ -87,6 +91,7 @@ class TestNonPerturbation:
         assert "fleet.worker.heartbeat" not in inline["events_by_kind"]
 
 
+@pytest.mark.usefixtures("tight_liveness")
 class TestHangVerdicts:
     def test_chaos_hang_is_judged_hung(self):
         # A hung worker wedges its emitter: beats stop, the liveness age

@@ -79,6 +79,15 @@ class TestValidation:
         with pytest.raises(ConfigurationError, match="schema version"):
             load_bundle(bundle_dir)
 
+    def test_v1_bundle_is_rejected(self, bundle_dir):
+        # Version 1 manifests spelled each config out field by field; they
+        # must fail loudly rather than replay with defaults filled in.
+        manifest = json.loads((bundle_dir / "manifest.json").read_text())
+        manifest["schema_version"] = 1
+        (bundle_dir / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(ConfigurationError, match="schema version 1"):
+            load_bundle(bundle_dir)
+
     def test_unknown_record_type_is_rejected(self, bundle_dir):
         with open(bundle_dir / "records.jsonl", "a", encoding="utf-8") as fh:
             fh.write('{"type": "mystery"}\n')

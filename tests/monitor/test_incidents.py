@@ -2,14 +2,20 @@
 
 from __future__ import annotations
 
+import enum
+import math
+from dataclasses import fields, is_dataclass, replace
+
 import pytest
 
 from repro.adaptive.sensor import LightSensor, sunset_trace
-from repro.core.system import AdaptiveDetectionSystem
+from repro.core.system import AdaptiveDetectionSystem, SystemConfig
+from repro.faults.plan import FaultPlan, FaultSite, FaultSpec
 from repro.faults.scenarios import SCENARIOS, get_scenario
-from repro.monitor import Monitor, list_bundles, load_bundle
+from repro.monitor import Monitor, MonitorConfig, list_bundles, load_bundle, write_bundle
 from repro.monitor.analyzer import render_report, root_cause_hints
-from repro.monitor.replay import replay_bundle
+from repro.monitor.replay import rebuild_drive, replay_bundle
+from repro.zynq.pr import ALL_CONTROLLERS
 
 pytestmark = pytest.mark.monitor
 
@@ -75,10 +81,74 @@ def test_bundle_manifest_carries_replay_provenance(tmp_path):
     record_scenario(tmp_path, "flaky_dma")
     bundle = load_bundle(list_bundles(tmp_path)[0])
     manifest = bundle.manifest
-    assert manifest["schema_version"] == 1
+    assert manifest["schema_version"] == 2
     drive = manifest["drive"]
     assert drive["sensor"]["seed"] == 23
     assert drive["fault_plan"]["name"] == "flaky_dma"
-    assert drive["system"]["pr_controller"] == "paper-pr"
+    assert drive["system"]["controller_cls"] == "paper-pr"
     assert drive["trace_points"], "lux trace knots must be recorded"
-    assert manifest["budgets"]["frame_budget_ms"] == 20.0
+    assert manifest["monitor"]["budgets"]["frame_budget_ms"] == 20.0
+
+
+def _changed(value):
+    """A valid value other than ``value`` for one config field."""
+    if is_dataclass(value):
+        return _all_changed(value)
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, enum.Enum):
+        members = list(type(value))
+        return members[(members.index(value) + 1) % len(members)]
+    if isinstance(value, type):
+        return next(cls for cls in ALL_CONTROLLERS if cls is not value)
+    if value is None:
+        return 2
+    if isinstance(value, str):
+        return "vehicle"
+    if isinstance(value, float) and math.isinf(value):
+        return 25.0
+    if isinstance(value, int):
+        return value + 1
+    return value * 1.1 if value else 0.5
+
+
+def _all_changed(config, skip=()):
+    """``config`` with every field (nested configs too) off its value."""
+    changes = {
+        f.name: _changed(getattr(config, f.name)) for f in fields(config) if f.name not in skip
+    }
+    for name, value in changes.items():
+        assert value != getattr(config, name), name
+    return replace(config, **changes)
+
+
+def test_every_config_field_survives_bundle_and_rebuild(tmp_path):
+    # Generic over dataclasses.fields: a field added to any of these
+    # configs without a dict form fails here, not in a silent replay.
+    system_config = _all_changed(SystemConfig())
+    monitor_config = replace(
+        _all_changed(MonitorConfig(), skip={"out_dir"}), out_dir=str(tmp_path)
+    )
+    plan = FaultPlan(
+        [
+            _all_changed(FaultSpec(FaultSite.DMA_ERROR)),
+            FaultSpec(FaultSite.SENSOR_SPIKE, start_s=1.0, magnitude=5.0),
+        ],
+        name="round-trip",
+    )
+    trace = sunset_trace(duration_s=2.0)
+    monitor = Monitor(monitor_config)
+    system = AdaptiveDetectionSystem(system_config, fault_plan=plan, monitor=monitor)
+    sensor = LightSensor(trace, noise_rel=0.05, seed=11, faults=plan)
+    system.run_drive(trace, duration_s=2.0, sensor=sensor)
+
+    manifest = load_bundle(write_bundle(tmp_path / "bundle", monitor.provenance, [], [])).manifest
+    rebuilt, _, rebuilt_sensor, duration_s, rebuilt_monitor = rebuild_drive(manifest)
+
+    assert rebuilt.config == system_config
+    assert rebuilt_monitor.config == replace(monitor_config, out_dir=None)
+    assert rebuilt.fault_plan.name == plan.name
+    assert rebuilt.fault_plan.specs == plan.specs
+    assert math.isinf(rebuilt.fault_plan.specs[1].end_s)
+    assert rebuilt_sensor.seed == 11
+    assert duration_s == 2.0

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import asdict
+
 import pytest
 
 from repro.errors import ConfigurationError
@@ -50,7 +52,7 @@ class TestLivenessConfig:
 
     def test_to_dict_round_trips(self):
         cfg = config()
-        assert LivenessConfig(**cfg.to_dict()) == cfg
+        assert LivenessConfig(**asdict(cfg)) == cfg
 
 
 class TestWorkerLiveness:

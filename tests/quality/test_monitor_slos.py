@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import pytest
 
@@ -64,14 +64,14 @@ class TestBudgetValidation:
 
     def test_to_dict_round_trips(self):
         budgets = small_budgets(quality_recall_floor=0.7)
-        assert SloBudgets(**budgets.to_dict()) == budgets
+        assert SloBudgets(**asdict(budgets)) == budgets
 
     def test_pre_quality_budget_dicts_still_load(self):
         # Bundles written before the quality plane carry no quality keys;
         # SloBudgets(**manifest["budgets"]) must keep loading them.
         old = {
             k: v
-            for k, v in SloBudgets().to_dict().items()
+            for k, v in asdict(SloBudgets()).items()
             if not k.startswith("quality_")
         }
         budgets = SloBudgets(**old)
