@@ -57,22 +57,41 @@ class WallClockRule(Rule):
 
 @register
 class AdHocRngRule(Rule):
-    """Sim domains construct RNGs only through repro.rng."""
+    """Sim domains construct RNGs only through repro.rng, and no module
+    outside it reseeds a generator by assigning its ``bit_generator.state``
+    (``repro.rng.reset_rng`` replays a seeded stream)."""
 
     id = "determinism-rng"
     family = "determinism"
     summary = (
         "no stdlib random or direct numpy RNG construction in simulation "
-        "packages; use repro.rng helpers"
+        "packages, and no bit_generator.state assignment outside repro.rng; "
+        "use repro.rng helpers"
     )
 
     def check(self, module: ModuleContext) -> Iterator[Violation]:
         cfg = module.config
-        if not cfg.in_sim_domain(module.module) or cfg.is_rng_helper(module.module):
+        if cfg.is_rng_helper(module.module):
             return
         helper = cfg.rng_helper_module
+        in_sim = cfg.in_sim_domain(module.module)
         for node in ast.walk(module.tree):
-            if isinstance(node, ast.Import):
+            if (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.ctx, ast.Store)
+                and node.attr == "state"
+                and isinstance(node.value, ast.Attribute)
+                and node.value.attr == "bit_generator"
+            ):
+                yield self.violation(
+                    module,
+                    node,
+                    f"bit_generator.state assigned outside {helper}; "
+                    f"restart seeded streams with {helper}.reset_rng",
+                )
+            elif not in_sim:
+                continue
+            elif isinstance(node, ast.Import):
                 for alias in node.names:
                     if alias.name == "random" or alias.name.startswith("random."):
                         yield self.violation(

@@ -522,6 +522,12 @@ class AdaptiveDetectionSystem:
         drive_span = telemetry.tracer.begin(
             "drive", frames=n_frames, fps=self.config.fps, duration_s=duration_s
         )
+        # Per-frame series, each bound on its first use so series are
+        # created in the order the frames first reach them.
+        frames_total = vehicle_dropped = pedestrian_dropped = scored_total = None
+        iou_hist = wall_hist = None
+        #: True condition -> its (tp, fp, fn) counters.
+        outcome_totals: dict[str, tuple] = {}
         for i in range(n_frames):
             t = i * frame_period
             if observed:
@@ -577,27 +583,46 @@ class AdaptiveDetectionSystem:
                     if labels:
                         frame_span.set_attr("faults", ";".join(labels))
                 if observed:
-                    telemetry.counter("drive_frames").inc()
+                    if frames_total is None:
+                        frames_total = telemetry.counter("drive_frames")
+                    frames_total.inc()
                     if not veh_ok:
-                        telemetry.counter("drive_vehicle_dropped").inc()
+                        if vehicle_dropped is None:
+                            vehicle_dropped = telemetry.counter("drive_vehicle_dropped")
+                        vehicle_dropped.inc()
                     if not ped_ok:
-                        telemetry.counter("drive_pedestrian_dropped").inc()
+                        if pedestrian_dropped is None:
+                            pedestrian_dropped = telemetry.counter("drive_pedestrian_dropped")
+                        pedestrian_dropped.inc()
                     if qrecord is not None:
+                        if scored_total is None:
+                            scored_total = telemetry.counter("quality_frames_scored_total")
+                        scored_total.inc()
                         condition = qrecord.true_condition
-                        telemetry.counter("quality_frames_scored_total").inc()
-                        telemetry.counter("quality_tp_total", condition=condition).inc(qrecord.tp)
-                        telemetry.counter("quality_fp_total", condition=condition).inc(qrecord.fp)
-                        telemetry.counter("quality_fn_total", condition=condition).inc(qrecord.fn)
-                        if qrecord.matched_ious:
-                            iou_hist = telemetry.histogram(
-                                "detection_iou", bounds=DETECTION_IOU_BUCKETS
+                        totals = outcome_totals.get(condition)
+                        if totals is None:
+                            totals = outcome_totals[condition] = (
+                                telemetry.counter("quality_tp_total", condition=condition),
+                                telemetry.counter("quality_fp_total", condition=condition),
+                                telemetry.counter("quality_fn_total", condition=condition),
                             )
+                        tp_total, fp_total, fn_total = totals
+                        tp_total.inc(qrecord.tp)
+                        fp_total.inc(qrecord.fp)
+                        fn_total.inc(qrecord.fn)
+                        if qrecord.matched_ious:
+                            if iou_hist is None:
+                                iou_hist = telemetry.histogram(
+                                    "detection_iou", bounds=DETECTION_IOU_BUCKETS
+                                )
                             for iou in qrecord.matched_ious:
                                 iou_hist.observe(iou)
             wall_ms: float | None = None
             if observed:
                 wall_ms = (wall_clock() - wall_start) * 1e3
-                telemetry.histogram("frame_wall_ms").observe(wall_ms)
+                if wall_hist is None:
+                    wall_hist = telemetry.histogram("frame_wall_ms")
+                wall_hist.observe(wall_ms)
                 if wall_ms > deadline_ms:
                     telemetry.counter("frame_deadline_misses_total").inc()
             if monitored:

@@ -43,8 +43,8 @@ from repro.telemetry.session import NULL_TELEMETRY, Telemetry
 if TYPE_CHECKING:
     from repro.adaptive.controller import ConditionChange
     from repro.adaptive.sensor import LightSensor, LuxTrace
-    from repro.core.system import AdaptiveDetectionSystem, FrameRecord
-    from repro.faults.plan import DegradationEvent, FaultEvent
+    from repro.core.system import AdaptiveDetectionSystem, FrameRecord, SystemConfig
+    from repro.faults.plan import DegradationEvent, FaultEvent, FaultPlan
     from repro.zynq.pr import ReconfigReport
 
 #: Typed zynq events copied into frame snapshots.  The per-frame
@@ -224,8 +224,10 @@ class Monitor:
         self.events: list[dict] = []
         #: Paths of bundles written this session (empty when out_dir=None).
         self.bundles: list[Path] = []
-        #: The current drive's replay inputs: every bundle's manifest body.
-        self.provenance: dict = {}
+        #: The current drive's static replay inputs, captured at
+        #: :meth:`begin_drive`; :attr:`provenance` is built from them.
+        self._provenance_inputs: tuple | None = None
+        self._provenance: dict | None = None
         self._system: "AdaptiveDetectionSystem | None" = None
         self._fault_listener = None
         self._trace_listener = None
@@ -255,7 +257,7 @@ class Monitor:
         duration_s: float,
         n_frames: int,
     ) -> None:
-        """Attach to a drive: capture replay provenance, hook event sources."""
+        """Attach to a drive: capture replay inputs, hook event sources."""
         if self._system is not None:
             raise MonitoringError(
                 "monitor is already attached to a drive; call finish_drive() first"
@@ -282,26 +284,53 @@ class Monitor:
 
         system.soc.trace.listeners.append(on_trace_event)
         self._trace_listener = on_trace_event
-        self.provenance = self._build_provenance(system, trace, sensor, duration_s, n_frames)
+        self._provenance_inputs = (
+            self.config,
+            system.config,
+            system.quality,
+            plan,
+            trace,
+            sensor,
+            duration_s,
+            n_frames,
+            self.telemetry.enabled,
+        )
+        self._provenance = None
 
+    @property
+    def provenance(self) -> dict:
+        """The current (or last) drive's replay inputs: every bundle's
+        manifest body (empty before the first drive).
+
+        Built on first read, which is the first bundle written, from the
+        static inputs :meth:`begin_drive` captured: a drive that writes no
+        bundle never pays for it.
+        """
+        if self._provenance is None:
+            if self._provenance_inputs is None:
+                return {}
+            self._provenance = self._build_provenance(*self._provenance_inputs)
+        return self._provenance
+
+    @staticmethod
     def _build_provenance(
-        self,
-        system: "AdaptiveDetectionSystem",
+        monitor_config: MonitorConfig,
+        system_config: "SystemConfig",
+        quality: Any,
+        plan: "FaultPlan | None",
         trace: "LuxTrace",
         sensor: "LightSensor",
         duration_s: float,
         n_frames: int,
+        telemetry_enabled: bool,
     ) -> dict:
-        plan = system.fault_plan
         return {
             "repro_version": __version__,
-            "monitor": self.config.to_dict(),
+            "monitor": monitor_config.to_dict(),
             # Everything needed to reattach an identical quality observer
             # on replay (None when the drive ran unscored).
-            "quality": (
-                system.quality.provenance() if system.quality.enabled else None
-            ),
-            "telemetry_enabled": self.telemetry.enabled,
+            "quality": quality.provenance() if quality.enabled else None,
+            "telemetry_enabled": telemetry_enabled,
             "drive": {
                 "duration_s": duration_s,
                 "n_frames": n_frames,
@@ -312,7 +341,7 @@ class Monitor:
                     "seed": sensor.seed,
                 },
                 "fault_plan": None if plan is None else plan.to_dict(),
-                "system": system.config.to_dict(),
+                "system": system_config.to_dict(),
             },
         }
 

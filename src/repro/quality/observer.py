@@ -15,10 +15,13 @@ the real greedy IoU matcher (:func:`repro.imaging.geometry.match_detections`).
 
 Every random draw flows from ``derive_seed(seed, "frame:<index>")``, so
 records are a pure function of (seed, config, frame state): byte-stable
-across runs, platforms, and fleet sharding.  Like ``NULL_TELEMETRY`` and
-``NULL_MONITOR``, the default observer is :data:`NULL_QUALITY` — a shared
-no-op behind one ``enabled`` attribute check, so an unobserved drive is
-byte-identical to one built before the quality plane existed.
+across runs, platforms, and fleet sharding.  A drive's streams are
+seeded in one batch at ``begin_drive`` and replayed through one reused
+generator, which draws exactly what a fresh ``make_rng`` per frame would.
+Like ``NULL_TELEMETRY`` and ``NULL_MONITOR``, the default observer is
+:data:`NULL_QUALITY` — a shared no-op behind one ``enabled`` attribute
+check, so an unobserved drive is byte-identical to one built before the
+quality plane existed.
 """
 
 from __future__ import annotations
@@ -32,9 +35,11 @@ from repro.errors import QualityError
 from repro.imaging.geometry import Rect, match_detections
 from repro.quality.events import check_quality_event_kind
 from repro.quality.records import QualityRecord, fold_records
-from repro.rng import derive_seed, make_rng
+from repro.rng import derive_seed, make_rng, reset_rng, start_states
 
 if TYPE_CHECKING:
+    import numpy as np
+
     from repro.adaptive.sensor import LuxTrace
     from repro.core.spec import DriveSpec
     from repro.core.system import FrameRecord
@@ -212,6 +217,11 @@ class ModelQualityObserver:
         #: Typed quality events (vocabulary-checked at emit time).
         self.events: list[dict] = []
         self._trace: "LuxTrace | None" = None
+        #: Frame index -> start state of its ``"frame:<index>"`` stream, for
+        #: the attached drive's sampled frames.
+        self._frame_states: dict[int, tuple[int, int]] = {}
+        #: The one generator every frame's stream is replayed through.
+        self._rng = make_rng(self.seed)
         #: :meth:`summary`'s fold of :attr:`records`; ``None`` once a record
         #: arrives after it was taken.
         self._summary: dict | None = None
@@ -235,6 +245,9 @@ class ModelQualityObserver:
             )
         self._trace = trace
         self._summary = None
+        frames = range(0, n_frames, self.config.sample_every)
+        seeds = [derive_seed(self.seed, f"frame:{index}") for index in frames]
+        self._frame_states = dict(zip(frames, start_states(seeds)))
         self.quality_event(
             "quality.drive.start",
             n_frames=n_frames,
@@ -268,7 +281,7 @@ class ModelQualityObserver:
         true_condition = condition_for_lux(true_lux)
         required = CONFIG_FOR_CONDITION[true_condition].value
         matched = record.vehicle_configuration == required
-        rng = make_rng(derive_seed(self.seed, f"frame:{record.index}"))
+        rng = self._frame_rng(record.index)
         truths = self._truth_boxes(rng)
         detections = self._detect(
             truths, rng, true_condition.value, matched, record
@@ -295,6 +308,14 @@ class ModelQualityObserver:
         self.records.append(quality_record)
         self._summary = None
         return quality_record
+
+    def _frame_rng(self, index: int) -> "np.random.Generator":
+        """The generator at the start of frame ``index``'s stream: what
+        ``make_rng(derive_seed(seed, f"frame:{index}"))`` would return."""
+        state = self._frame_states.get(index)
+        if state is None:  # a frame past the drive's announced length
+            state = start_states([derive_seed(self.seed, f"frame:{index}")])[0]
+        return reset_rng(self._rng, state)
 
     def _truth_boxes(self, rng) -> list[Rect]:
         """Seeded ground-truth vehicle boxes (the scene placement model)."""

@@ -17,7 +17,7 @@ queueing rather than being asserted.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Any, Callable
 
 from repro.errors import ReconfigurationError, SimulationError
 from repro.faults.plan import DegradationEvent, FaultPlan
@@ -82,6 +82,8 @@ class ZynqSoC:
         # the telemetry session, so a clock over ``self`` closes a cycle.
         self.telemetry.bind_clock(lambda: sim.now)
         self.trace = Trace(max_records=trace_max_records, tracer=self.telemetry.tracer)
+        #: Detector name -> its ``frames_processed`` series, bound on first use.
+        self._processed_series: dict[str, Any] = {}
         self.interrupts = InterruptController(self.sim, tracer=self.telemetry.tracer)
         self.timing = timing
         self.repository = repository or paper_bitstreams()
@@ -200,7 +202,11 @@ class ZynqSoC:
 
         def finish() -> None:
             detector.frames_processed += 1
-            self.telemetry.counter("frames_processed", detector=detector.name).inc()
+            series = self._processed_series.get(detector.name)
+            if series is None:
+                series = self.telemetry.counter("frames_processed", detector=detector.name)
+                self._processed_series[detector.name] = series
+            series.inc()
             if on_result is not None:
                 on_result()
 

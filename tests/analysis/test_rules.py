@@ -74,6 +74,23 @@ class TestDeterminismRng:
         src = "import numpy as np\ndef f(rng: np.random.Generator) -> None:\n    pass\n"
         assert only(src, "determinism-rng") == []
 
+    def test_fires_on_bit_generator_state_assignment_in_any_package(self):
+        src = "rng.bit_generator.state = saved\n"
+        for module in (SIM_MODULE, NON_SIM_MODULE, "repro.quality.fake"):
+            assert only(src, "determinism-rng", module=module) == ["determinism-rng"]
+
+    def test_fires_on_unpacked_state_assignment(self):
+        src = "rng.bit_generator.state, n = saved, 1\n"
+        assert only(src, "determinism-rng", module=NON_SIM_MODULE) == ["determinism-rng"]
+
+    def test_quiet_on_reading_state_and_other_state_attributes(self):
+        src = "saved = rng.bit_generator.state\nself.state = 1\nsim.clock.state = 2\n"
+        assert only(src, "determinism-rng", module=NON_SIM_MODULE) == []
+
+    def test_helper_module_may_assign_state(self):
+        src = "rng.bit_generator.state = saved\n"
+        assert only(src, "determinism-rng", module="repro.rng") == []
+
 
 class TestUnitSuffix:
     def test_fires_on_unsuffixed_parameter(self):

@@ -12,6 +12,11 @@ The detector set-up kernels have oracles here too: the dual coordinate
 descent loop on numpy arrays (:func:`svm_train_reference`), the masked
 logistic (:func:`sigmoid_reference`) and the ``np.pad``-based convolution
 (:func:`convolve2d_reference`).
+
+The quality observer seeds a drive's frame streams in one batch and
+replays them through one generator; :func:`reference_frame_streams` swaps
+in the fresh ``make_rng(derive_seed(seed, "frame:<index>"))`` per frame
+it replaced.
 """
 
 from __future__ import annotations
@@ -30,7 +35,8 @@ from repro.ml.linear import LinearModel, validate_training_set
 from repro.ml.svm import SvmConfig
 from repro.pipelines import hog_svm
 from repro.pipelines.dark import DBN_STRIDE, DBN_WINDOW, DarkVehicleDetector
-from repro.rng import make_rng
+from repro.quality.observer import ModelQualityObserver
+from repro.rng import derive_seed, make_rng
 
 
 def scan_windows_reference(
@@ -249,3 +255,20 @@ def match_detections_reference(
         free_t.discard(ti)
         free_d.discard(di)
     return matches, sorted(free_t), sorted(free_d)
+
+
+def frame_rng_reference(seed: int, index: int) -> np.random.Generator:
+    """A fresh generator per scored frame, seeded from the frame's label."""
+    return make_rng(derive_seed(seed, f"frame:{index}"))
+
+
+@contextmanager
+def reference_frame_streams() -> Iterator[None]:
+    """Score every frame with :func:`frame_rng_reference`'s generator."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(
+            ModelQualityObserver,
+            "_frame_rng",
+            lambda self, index: frame_rng_reference(self.seed, index),
+        )
+        yield
