@@ -45,9 +45,10 @@ def throughput_comparison() -> None:
 def fig7_trace() -> None:
     print("\n=== Fig. 7: the paper PR controller, event by event ===")
     soc = ZynqSoC(controller_cls=PaperPrController)
+    log = soc.trace.record()
     soc.reconfigure_vehicle("dark")
     soc.sim.run()
-    for record in soc.trace.records:
+    for record in log:
         print(f"  t={record.time * 1e3:8.3f} ms  [{record.source}] {record.message}")
     print(f"  completion interrupts: {soc.interrupts.count(soc.pr.irq_line)}")
 

@@ -21,7 +21,7 @@ def _default_event_vocabularies() -> Mapping[str, tuple[int, frozenset[str]]]:
     from repro.zynq.events import EVENT_KINDS
 
     return {
-        "emit": (2, EVENT_KINDS),  # Trace.emit(time, source, kind, message)
+        "emit": (2, EVENT_KINDS),  # Trace.emit(time, source, kind, **attrs)
         "emit_event": (0, MONITOR_EVENT_KINDS),  # Monitor.emit_event(kind, time_s)
         "fleet_event": (0, FLEET_EVENT_KINDS),  # FleetScheduler.fleet_event(kind)
         "quality_event": (0, QUALITY_EVENT_KINDS),  # quality_event(kind), method or function

@@ -250,11 +250,10 @@ class PrControllerTraceResult:
 
 def run_fig7_pr_controller() -> PrControllerTraceResult:
     soc = ZynqSoC(controller_cls=PaperPrController)
+    log = soc.trace.record()
     report = soc.reconfigure_vehicle("dark")
     soc.sim.run()
-    events = [
-        f"  t={r.time * 1e3:8.3f} ms  [{r.source}] {r.message}" for r in soc.trace.records
-    ]
+    events = [f"  t={r.time * 1e3:8.3f} ms  [{r.source}] {r.message}" for r in log]
     irq = soc.interrupts.count(soc.pr.irq_line)
     events.append(f"  t={soc.sim.now * 1e3:8.3f} ms  [ps] {soc.pr.irq_line} interrupts delivered: {irq}")
     return PrControllerTraceResult(

@@ -52,7 +52,7 @@ class DmaEngine:
         sim: Simulator,
         link: BusLink,
         interrupts: InterruptController,
-        trace: Trace | None = None,
+        trace: Trace,
         burst_beats: int | None = None,
         faults: FaultPlan | None = None,
     ):
@@ -95,23 +95,17 @@ class DmaEngine:
         self.state = DmaState.BUSY
         trace = self.trace
         span = None
-        if trace is not None:
-            if trace.tracer.enabled:
-                span = trace.tracer.begin(
-                    "dma.transfer",
-                    engine=self.name,
-                    label=descriptor.label,
-                    bytes=descriptor.n_bytes,
-                    link=self.link.spec.name,
-                )
-            trace.emit(
-                self.sim.now,
-                self.name,
-                "dma.start",
-                f"start {descriptor.label} ({descriptor.n_bytes} B)",
+        if trace.tracer.enabled:
+            span = trace.tracer.begin(
+                "dma.transfer",
+                engine=self.name,
                 label=descriptor.label,
                 bytes=descriptor.n_bytes,
+                link=self.link.spec.name,
             )
+        trace.emit(
+            self.sim.now, self.name, "dma.start", label=descriptor.label, bytes=descriptor.n_bytes
+        )
         inject = self._inject_error_next
         self._inject_error_next = False
         stall_s = 0.0
@@ -125,15 +119,13 @@ class DmaEngine:
                 stall_s = stall.magnitude
                 if span is not None:
                     span.add_event("dma.stall", self.sim.now, stall_ms=stall_s * 1e3)
-                if trace is not None:
-                    trace.emit(
-                        self.sim.now,
-                        self.name,
-                        "dma.stall",
-                        f"stall {stall_s * 1e3:.1f} ms on {descriptor.label}",
-                        label=descriptor.label,
-                        stall_ms=stall_s * 1e3,
-                    )
+                trace.emit(
+                    self.sim.now,
+                    self.name,
+                    "dma.stall",
+                    label=descriptor.label,
+                    stall_ms=stall_s * 1e3,
+                )
         # An engine runs one transfer at a time, so the transfer's state
         # lives on the engine until it completes or aborts.
         self._transfer = (descriptor, inject, span, on_done, on_error)
@@ -144,15 +136,8 @@ class DmaEngine:
         if inject:
             self._transfer = ()
             self.state = DmaState.ERROR
-            if self.trace is not None:
-                self.trace.emit(
-                    self.sim.now,
-                    self.name,
-                    "dma.error",
-                    f"ERROR on {descriptor.label}",
-                    label=descriptor.label,
-                )
-                self.trace.tracer.end(span, outcome="error")
+            self.trace.emit(self.sim.now, self.name, "dma.error", label=descriptor.label)
+            self.trace.tracer.end(span, outcome="error")
             self.interrupts.raise_irq(self.error_line)
             if on_error is not None:
                 on_error()
@@ -170,16 +155,10 @@ class DmaEngine:
         self.state = DmaState.IDLE
         self.transfers_completed += 1
         self.bytes_transferred += descriptor.n_bytes
-        if self.trace is not None:
-            self.trace.emit(
-                self.sim.now,
-                self.name,
-                "dma.done",
-                f"done {descriptor.label}",
-                label=descriptor.label,
-                bytes=descriptor.n_bytes,
-            )
-            self.trace.tracer.end(span, outcome="ok")
+        self.trace.emit(
+            self.sim.now, self.name, "dma.done", label=descriptor.label, bytes=descriptor.n_bytes
+        )
+        self.trace.tracer.end(span, outcome="ok")
         self.interrupts.raise_irq(self.irq_line)
         if on_done is not None:
             on_done()

@@ -10,7 +10,6 @@ communicate through plain Python calls at event time.
 from __future__ import annotations
 
 import heapq
-from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable
 
@@ -128,108 +127,83 @@ class Simulator:
 
 @dataclass(slots=True)
 class TraceRecord:
-    """One timestamped trace entry."""
+    """One timestamped, human-readable trace entry (:meth:`Trace.record`)."""
 
     time: float
     source: str
     message: str
 
 
+#: Each typed trace event's human-readable wording, built from its
+#: attributes.  Declaring a kind here declares it in :data:`EVENT_KINDS`.
+EVENT_WORDING: dict[str, Callable[[dict[str, Any]], str]] = {
+    "dma.start": lambda a: f"start {a['label']} ({a['bytes']} B)",
+    "dma.done": lambda a: f"done {a['label']}",
+    "dma.stall": lambda a: f"stall {a['stall_ms']:.1f} ms on {a['label']}",
+    "dma.error": lambda a: f"ERROR on {a['label']}",
+    "pr.start": lambda a: f"reconfigure -> {a['bitstream']} start",
+    "pr.done": lambda a: (
+        f"reconfigure -> {a['bitstream']} done ({a['throughput_mb_s']:.0f} MB/s)"
+    ),
+    "pr.stall": lambda a: f"ICAP stream stalled {a['stall_ms']:.1f} ms",
+    "pr.timeout": lambda a: f"reconfigure -> {a['bitstream']} TIMED OUT",
+    "soc.degrade": lambda a: (
+        f"degrade {a['action']}: {a['detail']}" if a["detail"] else f"degrade {a['action']}"
+    ),
+    "frame.dropped": lambda a: "frame dropped",
+    "partition.down": lambda a: f"vehicle partition down for PR -> {a['configuration']}",
+    "partition.up": lambda a: f"vehicle partition up ({a['configuration']})",
+    "model.swap": lambda a: f"vehicle model swap -> {a['model']}",
+}
+
 #: The declared vocabulary of typed trace events.  ``Trace.emit`` rejects
 #: kinds outside this set and the ``event-vocabulary`` lint rule (through
 #: ``LintConfig.event_vocabularies``) enforces it statically, so every
 #: consumer (summaries, exporter filters, acceptance tests) can rely on the
-#: names below being exhaustive.
-EVENT_KINDS: frozenset[str] = frozenset(
-    {
-        "dma.start",
-        "dma.done",
-        "dma.stall",
-        "dma.error",
-        "pr.start",
-        "pr.done",
-        "pr.stall",
-        "pr.timeout",
-        "soc.degrade",
-        "frame.dropped",
-        "partition.down",
-        "partition.up",
-        "model.swap",
-    }
-)
+#: table's names being exhaustive.
+EVENT_KINDS: frozenset[str] = frozenset(EVENT_WORDING)
 
 
 class Trace:
-    """An event trace shared by SoC components.
+    """The event bus shared by SoC components; it keeps nothing.
 
-    Two capture modes:
-
-    * unbounded (default) — every record is kept, as the figure renderers
-      expect for short runs;
-    * ring buffer (``max_records``) — only the newest ``max_records``
-      survive, with ``dropped`` counting evictions.  Long drives attach
-      their simulator traces in this mode so a multi-hour drive cannot
-      grow the trace without bound.
-
-    A :class:`~repro.telemetry.spans.Tracer` may ride along: components
-    that call :meth:`emit` then produce *typed* telemetry events (kind +
-    attributes) alongside the human-readable record, so the same call site
-    feeds both ``python -m repro fig7`` and a Perfetto dump.
-
-    :attr:`listeners` receive every typed event as ``(time, source, kind,
-    attrs)``; the runtime monitor subscribes here to fold SoC events into
-    frame snapshots.  The list is empty by default, so unobserved traces
-    pay one truthiness check per emit and nothing else.
+    :meth:`emit` forwards each typed event to the
+    :class:`~repro.telemetry.spans.Tracer` (for a Perfetto dump) and calls
+    the :attr:`listeners` with ``(time, source, kind, attrs)``; the runtime
+    monitor subscribes there to fold SoC events into frame snapshots.  A
+    reader of the human-readable log (``python -m repro fig7``) subscribes
+    :meth:`record` before the run.  With the default no-op tracer and no
+    listeners, an emit is one vocabulary check and two truthiness checks.
     """
 
-    def __init__(
-        self,
-        max_records: int | None = None,
-        tracer: Tracer | NullTracer | None = None,
-    ) -> None:
-        if max_records is not None and max_records < 1:
-            raise SimulationError(f"max_records must be >= 1, got {max_records}")
-        self.max_records = max_records
-        self.records: deque[TraceRecord] | list[TraceRecord]
-        if max_records is not None:
-            self.records = deque(maxlen=max_records)
-        else:
-            self.records = []
-        self.dropped = 0
-        self.logged = 0
+    def __init__(self, tracer: Tracer | NullTracer | None = None) -> None:
         self.tracer = tracer if tracer is not None else NullTracer()
         self.listeners: list[Callable[[float, str, str, dict[str, Any]], None]] = []
 
-    def log(self, time: float, source: str, message: str) -> None:
-        """Append one human-readable record (evicting under ring-buffer mode)."""
-        if self.max_records is not None and len(self.records) == self.max_records:
-            self.dropped += 1
-        self.records.append(TraceRecord(time=time, source=source, message=message))
-        self.logged += 1
-
-    def emit(self, time: float, source: str, kind: str, message: str, **attrs: Any) -> None:
-        """Typed event: a human-readable record plus a telemetry event.
+    def emit(self, time: float, source: str, kind: str, **attrs: Any) -> None:
+        """Publish one typed event.
 
         ``kind`` is the structured event name ("dma.start", "pr.done",
         ...) and must come from :data:`EVENT_KINDS`; ``attrs`` are its
-        typed attributes.  With the default no-op tracer this is exactly
-        :meth:`log`.
+        typed attributes.
         """
         if kind not in EVENT_KINDS:
             raise SimulationError(
                 f"emit kind {kind!r} is not in the declared event vocabulary; "
-                "add it to repro.zynq.events.EVENT_KINDS first"
+                "add it to repro.zynq.events.EVENT_WORDING first"
             )
-        self.log(time, source, message)
         if self.tracer.enabled:
             self.tracer.event(kind, time_s=time, source=source, **attrs)
         if self.listeners:
             for listener in list(self.listeners):
                 listener(time, source, kind, attrs)
 
-    def from_source(self, source: str) -> list[TraceRecord]:
-        """Records logged by one component."""
-        return [r for r in self.records if r.source == source]
+    def record(self) -> list[TraceRecord]:
+        """Subscribe a log of every later event; returns the list it fills."""
+        log: list[TraceRecord] = []
 
-    def __len__(self) -> int:
-        return len(self.records)
+        def append(time: float, source: str, kind: str, attrs: dict[str, Any]) -> None:
+            log.append(TraceRecord(time, source, EVENT_WORDING[kind](attrs)))
+
+        self.listeners.append(append)
+        return log

@@ -103,7 +103,7 @@ class BasePrController:
         sim: Simulator,
         interrupts: InterruptController,
         repository: BitstreamRepository,
-        trace: Trace | None = None,
+        trace: Trace,
         setup_time_s: float = 2.0e-6,
         faults: FaultPlan | None = None,
         timeout_s: float | None = None,
@@ -171,23 +171,17 @@ class BasePrController:
             raise ReconfigurationError(f"{self.name}: bitstream {name!r} failed integrity check")
         self.state = PrState.RECONFIGURING
         span = None
-        if self.trace is not None:
-            if self.trace.tracer.enabled:
-                span = self.trace.tracer.begin(
-                    "pr.reconfigure",
-                    controller=self.name,
-                    bitstream=name,
-                    bytes=bitstream.size_bytes,
-                    attempt=report.attempt,
-                )
-            self.trace.emit(
-                self.sim.now,
-                self.name,
-                "pr.start",
-                f"reconfigure -> {name} start",
+        if self.trace.tracer.enabled:
+            span = self.trace.tracer.begin(
+                "pr.reconfigure",
+                controller=self.name,
                 bitstream=name,
                 bytes=bitstream.size_bytes,
+                attempt=report.attempt,
             )
+        self.trace.emit(
+            self.sim.now, self.name, "pr.start", bitstream=name, bytes=bitstream.size_bytes
+        )
         duration = self.transfer_time(bitstream.size_bytes)
         if self.faults is not None:
             stall = self.faults.fire(FaultSite.PR_STALL, name, self.sim.now)
@@ -195,15 +189,13 @@ class BasePrController:
                 duration += stall.magnitude
                 if span is not None:
                     span.add_event("pr.stall", self.sim.now, stall_ms=stall.magnitude * 1e3)
-                if self.trace is not None:
-                    self.trace.emit(
-                        self.sim.now,
-                        self.name,
-                        "pr.stall",
-                        f"ICAP stream stalled {stall.magnitude * 1e3:.1f} ms",
-                        bitstream=name,
-                        stall_ms=stall.magnitude * 1e3,
-                    )
+                self.trace.emit(
+                    self.sim.now,
+                    self.name,
+                    "pr.stall",
+                    bitstream=name,
+                    stall_ms=stall.magnitude * 1e3,
+                )
 
         def complete() -> None:
             if report.timed_out:
@@ -212,19 +204,15 @@ class BasePrController:
             self.active_configuration = name
             report.end_s = self.sim.now
             report.ok = True
-            if self.trace is not None:
-                self.trace.emit(
-                    self.sim.now,
-                    self.name,
-                    "pr.done",
-                    f"reconfigure -> {name} done ({report.throughput_mb_s:.0f} MB/s)",
-                    bitstream=name,
-                    duration_ms=report.duration_s * 1e3,
-                    throughput_mb_s=report.throughput_mb_s,
-                )
-                self.trace.tracer.end(
-                    span, outcome="ok", throughput_mb_s=report.throughput_mb_s
-                )
+            self.trace.emit(
+                self.sim.now,
+                self.name,
+                "pr.done",
+                bitstream=name,
+                duration_ms=report.duration_s * 1e3,
+                throughput_mb_s=report.throughput_mb_s,
+            )
+            self.trace.tracer.end(span, outcome="ok", throughput_mb_s=report.throughput_mb_s)
             self.interrupts.raise_irq(self.irq_line)
             if on_done is not None:
                 on_done(report)
@@ -241,15 +229,8 @@ class BasePrController:
                 report.end_s = self.sim.now
                 report.error = "watchdog timeout"
                 report.timed_out = True
-                if self.trace is not None:
-                    self.trace.emit(
-                        self.sim.now,
-                        self.name,
-                        "pr.timeout",
-                        f"reconfigure -> {name} TIMED OUT",
-                        bitstream=name,
-                    )
-                    self.trace.tracer.end(span, outcome="timeout")
+                self.trace.emit(self.sim.now, self.name, "pr.timeout", bitstream=name)
+                self.trace.tracer.end(span, outcome="timeout")
                 self.interrupts.raise_irq(self.error_line)
                 if on_done is not None:
                     on_done(report)

@@ -30,11 +30,6 @@ from repro.zynq.events import Simulator, Trace
 from repro.zynq.interrupts import InterruptController
 from repro.zynq.pr import BasePrController, PaperPrController, ReconfigReport
 
-# Ring-buffer bound for the simulator-attached trace: generous for every
-# paper artefact (a 120 s drive logs ~50 k records) yet bounded, so
-# arbitrarily long drives cannot grow the trace without limit.
-TRACE_MAX_RECORDS = 200_000
-
 # HDTV frame payload: 1920 x 1080 x 2 B (YCbCr 4:2:2).
 FRAME_BYTES = HDTV_TIMING.width * HDTV_TIMING.height * 2
 # Detection result payload: a few hundred boxes worth of records.
@@ -74,14 +69,13 @@ class ZynqSoC:
         faults: FaultPlan | None = None,
         pr_timeout_s: float | None = None,
         telemetry: Telemetry | None = None,
-        trace_max_records: int | None = TRACE_MAX_RECORDS,
     ):
         sim = self.sim = Simulator()
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
         # The clock closes over the simulator, not the SoC: the SoC holds
         # the telemetry session, so a clock over ``self`` closes a cycle.
         self.telemetry.bind_clock(lambda: sim.now)
-        self.trace = Trace(max_records=trace_max_records, tracer=self.telemetry.tracer)
+        self.trace = Trace(tracer=self.telemetry.tracer)
         #: Detector name -> its ``frames_processed`` series, bound on first use.
         self._processed_series: dict[str, Any] = {}
         self.interrupts = InterruptController(self.sim, tracer=self.telemetry.tracer)
@@ -131,14 +125,7 @@ class ZynqSoC:
         self.reconfigurations: list[ReconfigReport] = []
 
     def _degrade(self, kind: str, detail: str = "") -> None:
-        self.trace.emit(
-            self.sim.now,
-            "soc",
-            "soc.degrade",
-            f"degrade {kind}: {detail}" if detail else f"degrade {kind}",
-            action=kind,
-            detail=detail,
-        )
+        self.trace.emit(self.sim.now, "soc", "soc.degrade", action=kind, detail=detail)
         self.telemetry.counter("degradations_total", kind=kind).inc()
         if self.on_degradation is not None:
             self.on_degradation(DegradationEvent(time_s=self.sim.now, kind=kind, detail=detail))
@@ -172,7 +159,6 @@ class ZynqSoC:
                 self.sim.now,
                 detector.name,
                 "frame.dropped",
-                "frame dropped",
                 detector=detector.name,
                 reason="reconfiguring" if not detector.available else "ingress-busy",
             )
@@ -248,13 +234,7 @@ class ZynqSoC:
         if not self.vehicle.available:
             raise ReconfigurationError("vehicle partition is already reconfiguring")
         self.vehicle.available = False
-        self.trace.emit(
-            self.sim.now,
-            "soc",
-            "partition.down",
-            f"vehicle partition down for PR -> {configuration}",
-            configuration=configuration,
-        )
+        self.trace.emit(self.sim.now, "soc", "partition.down", configuration=configuration)
 
         if self.pr.occupies_hp_port():
             # ZyCAP-style: the bitstream pull occupies HP0 alongside the
@@ -267,13 +247,7 @@ class ZynqSoC:
             self.vehicle.available = True
             if report.ok:
                 self.vehicle.configuration = configuration
-                self.trace.emit(
-                    self.sim.now,
-                    "soc",
-                    "partition.up",
-                    f"vehicle partition up ({configuration})",
-                    configuration=configuration,
-                )
+                self.trace.emit(self.sim.now, "soc", "partition.up", configuration=configuration)
                 self.telemetry.histogram("reconfig_ms").observe(report.duration_s * 1e3)
                 self.telemetry.gauge(
                     "pr_throughput_mbs", controller=report.controller
@@ -306,13 +280,7 @@ class ZynqSoC:
         if not self.vehicle.available:
             raise ReconfigurationError("cannot swap models during reconfiguration")
         self.vehicle_model = model_name
-        self.trace.emit(
-            self.sim.now,
-            "soc",
-            "model.swap",
-            f"vehicle model swap -> {model_name}",
-            model=model_name,
-        )
+        self.trace.emit(self.sim.now, "soc", "model.swap", model=model_name)
         self.telemetry.counter("model_swaps").inc()
 
     # Reporting ----------------------------------------------------------------

@@ -1,2 +1,2 @@
 # module: repro.zynq.fixture
-trace.emit(0.0, 'pr', 'pr.done', 'reconfigure done')
+trace.emit(0.0, 'pr', 'pr.done', bitstream='dark')

@@ -1,2 +1,2 @@
 # module: repro.zynq.fixture
-trace.emit(0.0, 'soc', 'soc.mystery', 'what')
+trace.emit(0.0, 'soc', 'soc.mystery')

@@ -138,7 +138,7 @@ class TestEventVocabulary:
     and each subclass re-runs every case on one more emitter."""
 
     EMITTER = "emit"
-    CALL = "trace.emit(0.0, 'pr', {kind}, message='reconfigure done')\n"
+    CALL = "trace.emit(0.0, 'pr', {kind}, bitstream='dark')\n"
     DECLARED = ("pr.done",)
     UNKNOWN = "soc.mystery"
 

@@ -42,6 +42,18 @@ def dark_detector():
     return trained_dark_detector()
 
 
+@pytest.fixture(scope="session")
+def pedestrian_detector():
+    """A trained PedestrianDetector (cached)."""
+    from repro.datasets.synthetic import make_pedestrian_frames
+    from repro.pipelines.pedestrian import PedestrianDetector
+
+    detector = PedestrianDetector()
+    frames = make_pedestrian_frames(n_frames=8, height=180, width=320, seed=41)
+    detector.train_from_frames(frames, seed=42)
+    return detector
+
+
 @pytest.fixture()
 def simulator():
     from repro.zynq.events import Simulator

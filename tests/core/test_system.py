@@ -9,6 +9,7 @@ from repro.adaptive.sensor import LightSensor, LuxTrace, sunset_trace, tunnel_tr
 from repro.core.system import AdaptiveDetectionSystem, SystemConfig
 from repro.datasets.lighting import LightingCondition
 from repro.errors import ConfigurationError
+from repro.telemetry import Telemetry
 
 
 class TestConfig:
@@ -90,8 +91,12 @@ class TestUrbanDrive:
 class TestInitialCondition:
     """The vehicle partition boots in the image and model its condition needs."""
 
-    def _drive(self, initial: LightingCondition, points, duration_s: float = 1.0):
-        system = AdaptiveDetectionSystem(SystemConfig(initial_condition=initial))
+    def _drive(
+        self, initial: LightingCondition, points, duration_s: float = 1.0, telemetry=None
+    ):
+        system = AdaptiveDetectionSystem(
+            SystemConfig(initial_condition=initial), telemetry=telemetry
+        )
         trace = LuxTrace(points=points)
         sensor = LightSensor(trace, noise_rel=0.0)
         report = system.run_drive(trace, duration_s=duration_s, sensor=sensor)
@@ -112,13 +117,20 @@ class TestInitialCondition:
         assert {f.vehicle_configuration for f in report.frames} == {"day_dusk"}
 
     def test_dark_start_into_dusk_selects_the_dusk_model_untraced(self):
+        # The tracer records from construction on, power-on included.
+        telemetry = Telemetry.recording()
         system, report = self._drive(
-            LightingCondition.DARK, ((0.0, 0.8), (0.5, 0.8), (0.52, 100.0), (2.0, 100.0)), 2.0
+            LightingCondition.DARK,
+            ((0.0, 0.8), (0.5, 0.8), (0.52, 100.0), (2.0, 100.0)),
+            2.0,
+            telemetry,
         )
         assert [r.bitstream for r in report.reconfigurations if r.ok] == ["day_dusk"]
         assert system.soc.vehicle_model == "dusk"
         assert report.model_swaps == [] and report.frames_degraded == 0
-        assert not any("model swap" in r.message for r in system.soc.trace.records)
+        names = {span.name for span in telemetry.tracer.spans}
+        names.update(event.name for span in telemetry.tracer.spans for event in span.events)
+        assert "pr.done" in names and "model.swap" not in names
 
 
 class TestChangeDuringReconfiguration:

@@ -9,7 +9,7 @@ to SHA-256 values of every deterministic thing they produce:
 * ``frames_digest``, ``DriveReport.summary()``, the monitor verdict and the
   quality summary with its per-frame records;
 * the metrics snapshot in creation order, minus the wall-clock series;
-* the SoC trace records;
+* the SoC trace records, through a log subscribed before the drive;
 * the span tree with its events, on the sim clock only;
 * the monitor events and the flight recorder's snapshots (ring and
   incident windows), minus wall times and wall-derived counter deltas.
@@ -131,10 +131,11 @@ def _sim_only_drive(spec: DriveSpec, telemetry: Telemetry | None = None):
     system = AdaptiveDetectionSystem.from_spec(
         spec, telemetry=telemetry, monitor=monitor, quality=observer
     )
+    soc_log = system.soc.trace.record()
     trace = spec.build_trace()
     sensor = spec.build_sensor(trace, system.fault_plan)
     report = system.run_drive(trace, duration_s=spec.duration_s, sensor=sensor)
-    return system, report, telemetry, monitor, observer
+    return soc_log, report, telemetry, monitor, observer
 
 
 def _snapshot_view(snapshot) -> dict:
@@ -162,7 +163,7 @@ def _span_view(span) -> dict:
 
 def sections(spec: DriveSpec, telemetry: Telemetry | None = None) -> dict:
     """Each section of one sim-only drive's output, unhashed."""
-    system, report, telemetry, monitor, observer = _sim_only_drive(spec, telemetry)
+    soc_log, report, telemetry, monitor, observer = _sim_only_drive(spec, telemetry)
     return {
         "frames_digest": frames_digest(report.frames),
         "summary": report.summary(),
@@ -173,7 +174,7 @@ def sections(spec: DriveSpec, telemetry: Telemetry | None = None) -> dict:
             "events": observer.events,
         },
         "metrics": [s for s in telemetry.metrics.snapshot() if s["name"] not in WALL_KEYS],
-        "soc_trace": [[r.time, r.source, r.message] for r in system.soc.trace.records],
+        "soc_trace": [[r.time, r.source, r.message] for r in soc_log],
         "spans": [_span_view(span) for span in telemetry.tracer.spans],
         "monitor": {
             "events": monitor.events,
@@ -218,7 +219,7 @@ def test_metrics_only_drive_equals_the_traced_drive(spec):
 
 def test_fault_drive_exercises_every_section():
     """The fault drive's pin covers retries, stalls, incidents and flushes."""
-    system, report, telemetry, monitor, observer = _sim_only_drive(SPECS[-1])
+    _, report, telemetry, monitor, observer = _sim_only_drive(SPECS[-1])
     assert report.failed_reconfigurations >= 1
     assert monitor.recorder.incidents
     assert any(event.name == "dma.stall" for span in telemetry.tracer.spans for event in span.events)

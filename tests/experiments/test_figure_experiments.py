@@ -70,6 +70,17 @@ class TestFig7:
         assert all(checks.values()), checks
         assert any("reconfigure -> dark start" in e for e in result.events)
 
+    def test_render_is_byte_identical(self):
+        # Captured when the SoC trace still kept every record itself.
+        assert run_fig7_pr_controller().render() == (
+            "Fig. 7 PR controller: PL DDR -> AXI DMA -> ICAP manager -> ICAPE2: 390 MB/s, 20.5 ms\n"
+            "  t=   0.000 ms  [soc] vehicle partition down for PR -> dark\n"
+            "  t=   0.000 ms  [paper-pr] reconfigure -> dark start\n"
+            "  t=  20.512 ms  [paper-pr] reconfigure -> dark done (390 MB/s)\n"
+            "  t=  20.512 ms  [soc] vehicle partition up (dark)\n"
+            "  t=  20.513 ms  [ps] paper-pr.reconfig_done interrupts delivered: 1"
+        )
+
 
 class TestFps:
     def test_headline_claim(self):

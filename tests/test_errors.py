@@ -75,11 +75,11 @@ class TestErrorStatesAreRecoverable:
     def test_dma_reset_clears_error(self):
         from repro.zynq.bus import HP_PORT, BusLink
         from repro.zynq.dma import DmaDescriptor, DmaEngine, DmaState
-        from repro.zynq.events import Simulator
+        from repro.zynq.events import Simulator, Trace
         from repro.zynq.interrupts import InterruptController
 
         sim = Simulator()
-        engine = DmaEngine("d", sim, BusLink(sim, HP_PORT), InterruptController(sim))
+        engine = DmaEngine("d", sim, BusLink(sim, HP_PORT), InterruptController(sim), Trace())
         engine.inject_error()
         engine.start(DmaDescriptor(64))
         sim.run()
@@ -89,7 +89,7 @@ class TestErrorStatesAreRecoverable:
 
     def test_pr_controller_usable_after_corrupt_bitstream(self):
         from repro.zynq.bitstream import BitstreamRepository, PartialBitstream
-        from repro.zynq.events import Simulator
+        from repro.zynq.events import Simulator, Trace
         from repro.zynq.interrupts import InterruptController
         from repro.zynq.pr import PaperPrController, PrState
 
@@ -99,7 +99,7 @@ class TestErrorStatesAreRecoverable:
         repo.add(bad)
         repo.add(PartialBitstream(name="day_dusk"))
         sim = Simulator()
-        ctrl = PaperPrController(sim, InterruptController(sim), repo)
+        ctrl = PaperPrController(sim, InterruptController(sim), repo, Trace())
         with pytest.raises(errors.ReconfigurationError):
             ctrl.reconfigure("dark")
         assert ctrl.state is PrState.IDLE

@@ -54,11 +54,11 @@ class TestTransfer:
 
     def test_trace_records(self, dma_setup):
         sim, _, engine = dma_setup
+        log = engine.trace.record()
         engine.start(DmaDescriptor(512, label="x"))
         sim.run()
-        messages = [r.message for r in engine.trace.from_source("dma0")]
-        assert any("start x" in m for m in messages)
-        assert any("done x" in m for m in messages)
+        messages = [r.message for r in log if r.source == "dma0"]
+        assert messages == ["start x (512 B)", "done x"]
 
 
 class TestErrors:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import SimulationError
-from repro.zynq.events import Simulator, Trace
+from repro.zynq.events import EVENT_KINDS, EVENT_WORDING, Simulator, Trace, TraceRecord
 
 
 class TestScheduling:
@@ -176,44 +176,66 @@ class TestKernelContract:
 class TestTrace:
     def test_log_and_filter(self):
         trace = Trace()
-        trace.log(0.0, "dma", "start")
-        trace.log(1.0, "icap", "busy")
-        trace.log(2.0, "dma", "done")
-        assert len(trace) == 3
-        assert [r.message for r in trace.from_source("dma")] == ["start", "done"]
+        log = trace.record()
+        trace.emit(0.0, "dma", "dma.start", label="x", bytes=8)
+        trace.emit(1.0, "soc", "model.swap", model="dusk")
+        trace.emit(2.0, "dma", "dma.done", label="x", bytes=8)
+        assert log == [
+            TraceRecord(0.0, "dma", "start x (8 B)"),
+            TraceRecord(1.0, "soc", "vehicle model swap -> dusk"),
+            TraceRecord(2.0, "dma", "done x"),
+        ]
+        assert [r.message for r in log if r.source == "dma"] == ["start x (8 B)", "done x"]
 
     def test_unbounded_by_default(self):
         trace = Trace()
+        log = trace.record()
         for i in range(1000):
-            trace.log(float(i), "src", f"m{i}")
-        assert len(trace) == 1000
-        assert trace.dropped == 0
-        assert trace.logged == 1000
+            trace.emit(float(i), "src", "model.swap", model=f"m{i}")
+        assert len(log) == 1000
+        assert log[0].message == "vehicle model swap -> m0"
 
-    def test_ring_buffer_keeps_newest_records(self):
-        trace = Trace(max_records=3)
-        for i in range(7):
-            trace.log(float(i), "src", f"m{i}")
-        assert len(trace) == 3
-        assert [r.message for r in trace.records] == ["m4", "m5", "m6"]
-        assert trace.dropped == 4
-        assert trace.logged == 7
-
-    def test_max_records_must_be_positive(self):
-        with pytest.raises(SimulationError):
-            Trace(max_records=0)
+    def test_log_sees_only_events_after_it_subscribes(self):
+        trace = Trace()
+        trace.emit(0.0, "soc", "frame.dropped", detector="vehicle", reason="reconfiguring")
+        log = trace.record()
+        assert log == []
+        trace.emit(1.0, "soc", "frame.dropped", detector="vehicle", reason="reconfiguring")
+        assert log == [TraceRecord(1.0, "soc", "frame dropped")]
 
     def test_emit_logs_human_record_without_tracer(self):
         trace = Trace()
-        trace.emit(1.0, "pr", "pr.done", "reconfigure done", bitstream="dark")
-        assert [r.message for r in trace.records] == ["reconfigure done"]
+        log = trace.record()
+        trace.emit(1.0, "pr", "pr.done", bitstream="dark", throughput_mb_s=389.6)
+        assert [r.message for r in log] == ["reconfigure -> dark done (390 MB/s)"]
+
+    @pytest.mark.parametrize(
+        ("attrs", "message"),
+        [
+            ({"action": "dma-reset", "detail": "dma0 after aborted frame"},
+             "degrade dma-reset: dma0 after aborted frame"),
+            ({"action": "pr-rejected", "detail": ""}, "degrade pr-rejected"),
+        ],
+    )
+    def test_degrade_wording_drops_an_empty_detail(self, attrs, message):
+        trace = Trace()
+        log = trace.record()
+        trace.emit(0.0, "soc", "soc.degrade", **attrs)
+        assert [r.message for r in log] == [message]
+
+    def test_wording_table_declares_the_vocabulary(self):
+        assert EVENT_KINDS == frozenset(EVENT_WORDING)
+
+    def test_unknown_kind_is_rejected(self):
+        with pytest.raises(SimulationError, match="soc.mystery"):
+            Trace().emit(0.0, "soc", "soc.mystery")
 
     def test_emit_forwards_typed_event_to_tracer(self):
         from repro.telemetry.spans import Tracer
 
         tracer = Tracer()
         trace = Trace(tracer=tracer)
-        trace.emit(2.0, "pr", "pr.done", "reconfigure done", bitstream="dark")
+        trace.emit(2.0, "pr", "pr.done", bitstream="dark")
         (span,) = tracer.finished_spans("pr.done")
         assert span.start_s == 2.0
         assert span.attrs == {"source": "pr", "bitstream": "dark"}
