@@ -65,7 +65,7 @@ PYTHONPATH=src python -m pytest -x -q tests/equivalence/test_pixel_golden.py || 
 # Every pytest step below runs with them.
 export OMP_NUM_THREADS=1 OPENBLAS_NUM_THREADS=1 MKL_NUM_THREADS=1
 
-echo "== pytest -m equivalence (run_drive and the pixel detector as one drive loop; hot scans vs per-window test oracles; the HOG front end shared by both partitions vs an empty memo; colour split, luma bands and threshold histogram vs plain formulas; SVM, DBN logistic and crop-blur trainers vs straightforward oracles; run labeller vs scipy.ndimage.label; Rect.iou and match_detections vs oracles; sim-only drive surface vs golden pins and metrics-only vs traced drives; pixel detections of both partitions vs golden pins (test_pixel_golden.py, one BLAS thread); byte for byte)"
+echo "== pytest -m equivalence (run_drive and the pixel detector as one tick: same switches, flushes and frame-core digest; hot scans vs per-window test oracles; the HOG front end shared by both partitions vs an empty memo; colour split, luma bands and threshold histogram vs plain formulas; SVM, DBN logistic and crop-blur trainers vs straightforward oracles; run labeller vs scipy.ndimage.label; Rect.iou and match_detections vs oracles; sim-only drive surface vs golden pins and metrics-only vs traced drives; pixel detections of both partitions vs golden pins (test_pixel_golden.py, one BLAS thread); byte for byte)"
 PYTHONPATH=src python -m pytest -x -q -m equivalence || status=1
 
 echo "== repro incident smoke (flight recorder: induce, bundle, replay)"

@@ -1,13 +1,14 @@
 """The functional adaptive detector: lux in, detections out.
 
 A thin pixel stage over :class:`repro.core.system.AdaptiveDetectionSystem`.
-Each :meth:`AdaptiveVehicleDetector.process` call is one tick of that
-system: the frame is issued to the SoC model, the pipeline the vehicle
-partition has up runs on it (day/dusk: HOG+SVM with the selected model;
-dark: the DBN pipeline), and then the sensor sample goes to the system's
-controller.  A switch therefore takes effect from the next frame: a
-day<->dusk model swap is free, and a dusk<->dark partial reconfiguration
-(20.51 ms, one period and a bit at 50 fps) leaves the next frame blind.
+Each :meth:`AdaptiveVehicleDetector.process` call is one system ``tick``,
+the one ``run_drive`` makes, with the pipeline the vehicle partition has up
+as its stage (day/dusk: HOG+SVM with the selected model; dark: the DBN
+pipeline); the frame's lux is the tick's one sensor sample, so the system's
+report holds the same audited frames a timing-only drive does.  A switch
+takes effect from the next frame: a day<->dusk model swap is free, and a
+dusk<->dark partial reconfiguration (20.51 ms, one period and a bit at 50
+fps) leaves the next frame blind.
 """
 
 from __future__ import annotations
@@ -98,40 +99,33 @@ class AdaptiveVehicleDetector:
         self.results: list[FrameResult] = []
 
     def process(self, time_s: float, lux: float, frame: np.ndarray) -> FrameResult:
-        """One tick: issue the frame, run the partition's pipeline, sense.
+        """One system tick with the partition's pipeline as its stage.
 
         ``time_s`` must not decrease between calls.  The frame is served by
         the configuration and model the SoC has up when it is issued, so
         the frame whose lux triggers a switch still runs the outgoing one.
         """
-        condition = self.controller.condition
-        vehicle_ok, _ = self.system.issue_frame(len(self.results), time_s)
-        soc = self.system.soc
-        reconfiguring = not soc.vehicle.available
-        if soc.vehicle.configuration == VehicleConfigurationId.DARK.value:
-            active, detect = self._dark.name, self._dark.detect
-        else:
-            hog = self._hog[soc.vehicle_model]
-            # detect_multiscale, the name bench/layers.py times (= detect).
-            active, detect = f"{hog.name}:{soc.vehicle_model}", hog.detect_multiscale
-        detections: list[Detection] = []
-        degraded = not (vehicle_ok or reconfiguring)
-        if vehicle_ok:
-            try:
-                detections = detect(frame)
-            except PipelineError:
-                # Fail safe, not silent: no detections for this frame
-                # rather than a dead stream, and the frame marked degraded
-                # so drives stay auditable.
-                degraded = True
-        self.system.sense(time_s, lux)
-        result = FrameResult(
-            time_s=time_s,
-            condition=condition,
-            active_pipeline=active,
-            detections=detections,
-            reconfiguring=reconfiguring,
-            degraded=degraded,
-        )
-        self.results.append(result)
-        return result
+
+        def stage(vehicle_ok: bool) -> None:
+            soc = self.system.soc
+            if soc.vehicle.configuration == VehicleConfigurationId.DARK.value:
+                active, detect = self._dark.name, self._dark.detect
+            else:
+                hog = self._hog[soc.vehicle_model]
+                # detect_multiscale, the name bench/layers.py times (= detect).
+                active, detect = f"{hog.name}:{soc.vehicle_model}", hog.detect_multiscale
+            reconfiguring = not soc.vehicle.available
+            result = FrameResult(time_s, self.controller.condition, active, [], reconfiguring)
+            result.degraded = not (vehicle_ok or reconfiguring)
+            if vehicle_ok:
+                try:
+                    result.detections = detect(frame)
+                except PipelineError:
+                    # Fail safe, not silent: no detections for this frame
+                    # rather than a dead stream, and the frame marked
+                    # degraded so drives stay auditable.
+                    result.degraded = True
+            self.results.append(result)
+
+        self.system.tick(len(self.results), time_s, ((time_s, lux),), stage)
+        return self.results[-1]

@@ -9,17 +9,19 @@ dusk, instantaneous) or trigger a partial reconfiguration (dusk <-> dark,
 frames while the pedestrian detector "continues its operation ... and
 guarantees the real-time and safe behavior of the system".
 
-A tick is two calls: :meth:`AdaptiveDetectionSystem.issue_frame` hands the
-frame to both partitions, then :meth:`AdaptiveDetectionSystem.sense` feeds
-each sensor sample due to the controller and applies any switch.
-``run_drive`` is the timing-only loop over them and renders no pixels.
-:class:`repro.core.functional.AdaptiveVehicleDetector` makes the same two
-calls around the real pipelines, so both loops share one controller, one
-switch plan and one blind window.
+Every frame is one :meth:`AdaptiveDetectionSystem.tick`: the frame goes to
+both partitions, an optional pixel stage runs on the image and model the
+SoC has up, the due sensor samples go to the controller, and the frame's
+audited :class:`FrameRecord` feeds the quality, telemetry and monitor
+planes.  ``run_drive`` ticks with no stage and renders no pixels;
+:class:`repro.core.functional.AdaptiveVehicleDetector` ticks with the real
+pipelines as its stage, so both drivers share one controller, one switch
+plan, one blind window and one audit trail.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import asdict, dataclass, field
 
 from repro.adaptive.controller import ConditionChange, ControllerConfig, LightingController
@@ -312,6 +314,17 @@ class AdaptiveDetectionSystem:
 
         self._record_degradation = self.soc.on_degradation = record_degradation
         self._pending_reconfig = False
+        # What a tick carries to the next: the last sensor sample, and the
+        # fault and degradation events its frames have labelled.
+        self._lux = 0.0
+        self._fault_cursor = len(fault_plan.events) if fault_plan is not None else 0
+        self._degrade_cursor = 0
+        # Per-frame series, each bound on its first use so series are
+        # created in the order the frames first reach them.
+        self._frames_total = self._vehicle_dropped = self._pedestrian_dropped = None
+        self._scored_total = self._iou_hist = self._wall_hist = None
+        #: True condition -> its (tp, fp, fn) counters.
+        self._outcome_totals: dict[str, tuple] = {}
 
     @classmethod
     def from_spec(
@@ -461,189 +474,195 @@ class AdaptiveDetectionSystem:
 
         self.soc.sim.schedule(delay, retry)
 
-    # The two halves of a tick ---------------------------------------------------
+    # The tick ----------------------------------------------------------------
 
-    def issue_frame(self, index: int, t: float) -> tuple[bool, bool]:
-        """Run the SoC up to ``t`` and hand frame ``index`` to both partitions.
+    def tick(
+        self,
+        index: int,
+        t: float,
+        samples: Iterable[tuple[float, float]],
+        stage: Callable[[bool], None] | None = None,
+    ) -> FrameRecord:
+        """Frame ``index`` at time ``t``, the one per-frame body of a drive.
 
-        Returns whether the vehicle and the pedestrian partition accepted
-        it.  The vehicle side refuses a frame while it reconfigures, while
-        its ingress is busy, or when a detector exception flushes it.
+        The SoC runs up to ``t`` and hands the frame to both partitions;
+        the vehicle side refuses it while it reconfigures, while its
+        ingress is busy, or when a detector exception flushes it.  Then
+        ``stage(vehicle_accepted)``, if given, runs on the image and model
+        the SoC has up.  Then each ``(time, lux)`` of ``samples`` goes to
+        the controller, so a switch takes effect from the next frame.  Last
+        the frame's labels and record feed the quality, telemetry and
+        monitor planes.
         """
-        self.soc.sim.run_until(t)
-        # A detector exception on the vehicle accelerator costs that frame:
-        # the partition's per-frame watchdog flushes the pipeline and the
-        # stream resumes on the next tick.  The static pedestrian partition
-        # is never consulted — it cannot be made to skip a frame.
-        if self.fault_plan is not None and self.fault_plan.fire(
-            FaultSite.PIPELINE_EXCEPTION, "vehicle", t
-        ):
-            veh_ok = False
-            self.soc.vehicle.frames_dropped += 1
-            self._degrade("detector-flush", f"vehicle pipeline flushed at frame {index}")
-        else:
-            veh_ok = self.soc.submit_frame("vehicle")
-        return veh_ok, self.soc.submit_frame("pedestrian")
-
-    def sense(self, t: float, lux: float) -> None:
-        """Feed one sensor sample to the controller and apply any switch."""
-        change = self.controller.update(t, lux)
-        if change is not None:
-            self._handle_change(change)
+        telemetry = self.telemetry
+        observed = telemetry.enabled
+        if observed:
+            wall_start = telemetry.tracer.wall_clock()
+        soc = self.soc
+        vehicle = soc.vehicle
+        controller = self.controller
+        fault_plan = self.fault_plan
+        with telemetry.span("drive.frame", index=index) as frame_span:
+            soc.sim.run_until(t)
+            # A detector exception on the vehicle accelerator costs that
+            # frame: the partition's per-frame watchdog flushes the pipeline
+            # and the stream resumes on the next tick.  The static pedestrian
+            # partition is never consulted — it cannot be made to skip a frame.
+            if fault_plan is not None and fault_plan.fire(
+                FaultSite.PIPELINE_EXCEPTION, "vehicle", t
+            ):
+                veh_ok = False
+                vehicle.frames_dropped += 1
+                self._degrade("detector-flush", f"vehicle pipeline flushed at frame {index}")
+            else:
+                veh_ok = soc.submit_frame("vehicle")
+            ped_ok = soc.submit_frame("pedestrian")
+            if stage is not None:
+                stage(veh_ok)
+            # Read inside the frame's span, after the frame is issued: the
+            # light sensor is asynchronous to the frame clock.
+            for sample_t, lux in samples:
+                self._lux = lux
+                change = controller.update(sample_t, lux)
+                if change is not None:
+                    self._handle_change(change)
+            # Fold every fault/degradation event since the last frame into
+            # this frame's audit trail.
+            events = fault_plan.events if fault_plan is not None else ()
+            degradations = self.report.degradations
+            labels = [e.label() for e in events[self._fault_cursor :]]
+            labels += [d.label() for d in degradations[self._degrade_cursor :]]
+            self._fault_cursor, self._degrade_cursor = len(events), len(degradations)
+            expected_config = CONFIG_FOR_CONDITION[controller.condition].value
+            reconfiguring = not vehicle.available
+            record = FrameRecord(
+                index=index,
+                time_s=t,
+                condition=controller.condition,
+                lux=self._lux,
+                vehicle_accepted=veh_ok,
+                pedestrian_accepted=ped_ok,
+                vehicle_configuration=vehicle.configuration or "",
+                reconfiguring=reconfiguring,
+                faults=tuple(labels),
+                degraded=vehicle.available and vehicle.configuration != expected_config,
+            )
+            self.report.frames.append(record)
+            # Ground-truth scoring is a pure read of the finished record (its
+            # own RNG streams, no simulation state touched), so the frame
+            # core is identical with or without the quality plane.
+            quality = self.quality
+            qrecord = quality.observe_frame(record, expected_config) if quality.enabled else None
+            if telemetry.tracer.enabled:
+                record.span_id = frame_span.span_id
+                frame_span.set_attr("condition", record.condition.value)
+                frame_span.set_attr("vehicle_accepted", veh_ok)
+                frame_span.set_attr("pedestrian_accepted", ped_ok)
+                if reconfiguring:
+                    frame_span.set_attr("reconfiguring", True)
+                if record.degraded:
+                    frame_span.set_attr("degraded", True)
+                if labels:
+                    frame_span.set_attr("faults", ";".join(labels))
+            if observed:
+                if self._frames_total is None:
+                    self._frames_total = telemetry.counter("drive_frames")
+                self._frames_total.inc()
+                if not veh_ok:
+                    if self._vehicle_dropped is None:
+                        self._vehicle_dropped = telemetry.counter("drive_vehicle_dropped")
+                    self._vehicle_dropped.inc()
+                if not ped_ok:
+                    if self._pedestrian_dropped is None:
+                        self._pedestrian_dropped = telemetry.counter("drive_pedestrian_dropped")
+                    self._pedestrian_dropped.inc()
+                if qrecord is not None:
+                    if self._scored_total is None:
+                        self._scored_total = telemetry.counter("quality_frames_scored_total")
+                    self._scored_total.inc()
+                    condition = qrecord.true_condition
+                    totals = self._outcome_totals.get(condition)
+                    if totals is None:
+                        totals = self._outcome_totals[condition] = (
+                            telemetry.counter("quality_tp_total", condition=condition),
+                            telemetry.counter("quality_fp_total", condition=condition),
+                            telemetry.counter("quality_fn_total", condition=condition),
+                        )
+                    tp_total, fp_total, fn_total = totals
+                    tp_total.inc(qrecord.tp)
+                    fp_total.inc(qrecord.fp)
+                    fn_total.inc(qrecord.fn)
+                    if qrecord.matched_ious:
+                        if self._iou_hist is None:
+                            self._iou_hist = telemetry.histogram(
+                                "detection_iou", bounds=DETECTION_IOU_BUCKETS
+                            )
+                        for iou in qrecord.matched_ious:
+                            self._iou_hist.observe(iou)
+        wall_ms: float | None = None
+        if observed:
+            wall_ms = (telemetry.tracer.wall_clock() - wall_start) * 1e3
+            if self._wall_hist is None:
+                self._wall_hist = telemetry.histogram("frame_wall_ms")
+            self._wall_hist.observe(wall_ms)
+            if wall_ms > 1e3 / self.config.fps:
+                telemetry.counter("frame_deadline_misses_total").inc()
+        if self.monitor.enabled:
+            self.monitor.observe_frame(record, expected_config, wall_ms=wall_ms, quality=qrecord)
+        return record
 
     def run_drive(self, trace: LuxTrace, duration_s: float | None = None, sensor: LightSensor | None = None) -> DriveReport:
-        """Drive the system over a lux trace; returns the full report."""
+        """Drive the system over a lux trace, one stage-less :meth:`tick` a
+        frame with the sensor samples due by it; returns the full report."""
         if duration_s is None:
             duration_s = trace.duration
         if duration_s <= 0:
             raise ConfigurationError("drive duration must be positive")
         sensor = sensor or LightSensor(trace, noise_rel=0.03, faults=self.fault_plan)
         frame_period = 1.0 / self.config.fps
-        deadline_ms = frame_period * 1e3
+        sensor_period = self.config.sensor_period_s
         n_frames = int(duration_s * self.config.fps)
-        sim = self.soc.sim
         telemetry = self.telemetry
-        observed = telemetry.enabled
-        traced = telemetry.tracer.enabled
-        wall_clock = telemetry.tracer.wall_clock
         monitor = self.monitor
-        monitored = monitor.enabled
-        if monitored:
+        if monitor.enabled:
             monitor.begin_drive(self, trace, sensor, duration_s, n_frames)
         quality = self.quality
-        scored = quality.enabled
-        if scored:
+        if quality.enabled:
             quality.begin_drive(trace, duration_s, n_frames)
-        fault_plan = self.fault_plan
-        fault_cursor = len(fault_plan.events) if fault_plan is not None else 0
-        degrade_cursor = len(self.report.degradations)
+        # The power-on sample: no frame records it, but the read draws the
+        # sensor's first noise and meets its faults.
+        sensor.read(0.0)
         next_sensor_t = 0.0
-        lux = sensor.read(0.0)
+
+        def due(t: float) -> Iterator[tuple[float, float]]:
+            nonlocal next_sensor_t
+            while next_sensor_t <= t:
+                yield next_sensor_t, sensor.read(next_sensor_t)
+                next_sensor_t += sensor_period
+
         drive_span = telemetry.tracer.begin(
             "drive", frames=n_frames, fps=self.config.fps, duration_s=duration_s
         )
-        # Per-frame series, each bound on its first use so series are
-        # created in the order the frames first reach them.
-        frames_total = vehicle_dropped = pedestrian_dropped = scored_total = None
-        iou_hist = wall_hist = None
-        #: True condition -> its (tp, fp, fn) counters.
-        outcome_totals: dict[str, tuple] = {}
         for i in range(n_frames):
             t = i * frame_period
-            if observed:
-                wall_start = wall_clock()
-            with telemetry.span("drive.frame", index=i) as frame_span:
-                veh_ok, ped_ok = self.issue_frame(i, t)
-                # Sensor + controller at their own (slower) cadence; the
-                # light sensor is asynchronous to the frame clock, so its
-                # samples land after the tick's frame has been issued.
-                while next_sensor_t <= t:
-                    lux = sensor.read(next_sensor_t)
-                    self.sense(next_sensor_t, lux)
-                    next_sensor_t += self.config.sensor_period_s
-                # Fold every fault/degradation event since the last frame
-                # into this frame's audit trail.
-                labels: list[str] = []
-                if fault_plan is not None:
-                    labels += [e.label() for e in fault_plan.events[fault_cursor:]]
-                    fault_cursor = len(fault_plan.events)
-                labels += [d.label() for d in self.report.degradations[degrade_cursor:]]
-                degrade_cursor = len(self.report.degradations)
-                expected_config = CONFIG_FOR_CONDITION[self.controller.condition].value
-                reconfiguring = not self.soc.vehicle.available
-                record = FrameRecord(
-                    index=i,
-                    time_s=t,
-                    condition=self.controller.condition,
-                    lux=lux,
-                    vehicle_accepted=veh_ok,
-                    pedestrian_accepted=ped_ok,
-                    vehicle_configuration=self.soc.vehicle.configuration or "",
-                    reconfiguring=reconfiguring,
-                    faults=tuple(labels),
-                    degraded=(
-                        self.soc.vehicle.available
-                        and self.soc.vehicle.configuration != expected_config
-                    ),
-                )
-                self.report.frames.append(record)
-                # Ground-truth scoring is a pure read of the finished record
-                # (its own RNG streams, no simulation state touched), so the
-                # frame core is identical with or without the quality plane.
-                qrecord = quality.observe_frame(record, expected_config) if scored else None
-                if traced:
-                    record.span_id = frame_span.span_id
-                    frame_span.set_attr("condition", record.condition.value)
-                    frame_span.set_attr("vehicle_accepted", veh_ok)
-                    frame_span.set_attr("pedestrian_accepted", ped_ok)
-                    if reconfiguring:
-                        frame_span.set_attr("reconfiguring", True)
-                    if record.degraded:
-                        frame_span.set_attr("degraded", True)
-                    if labels:
-                        frame_span.set_attr("faults", ";".join(labels))
-                if observed:
-                    if frames_total is None:
-                        frames_total = telemetry.counter("drive_frames")
-                    frames_total.inc()
-                    if not veh_ok:
-                        if vehicle_dropped is None:
-                            vehicle_dropped = telemetry.counter("drive_vehicle_dropped")
-                        vehicle_dropped.inc()
-                    if not ped_ok:
-                        if pedestrian_dropped is None:
-                            pedestrian_dropped = telemetry.counter("drive_pedestrian_dropped")
-                        pedestrian_dropped.inc()
-                    if qrecord is not None:
-                        if scored_total is None:
-                            scored_total = telemetry.counter("quality_frames_scored_total")
-                        scored_total.inc()
-                        condition = qrecord.true_condition
-                        totals = outcome_totals.get(condition)
-                        if totals is None:
-                            totals = outcome_totals[condition] = (
-                                telemetry.counter("quality_tp_total", condition=condition),
-                                telemetry.counter("quality_fp_total", condition=condition),
-                                telemetry.counter("quality_fn_total", condition=condition),
-                            )
-                        tp_total, fp_total, fn_total = totals
-                        tp_total.inc(qrecord.tp)
-                        fp_total.inc(qrecord.fp)
-                        fn_total.inc(qrecord.fn)
-                        if qrecord.matched_ious:
-                            if iou_hist is None:
-                                iou_hist = telemetry.histogram(
-                                    "detection_iou", bounds=DETECTION_IOU_BUCKETS
-                                )
-                            for iou in qrecord.matched_ious:
-                                iou_hist.observe(iou)
-            wall_ms: float | None = None
-            if observed:
-                wall_ms = (wall_clock() - wall_start) * 1e3
-                if wall_hist is None:
-                    wall_hist = telemetry.histogram("frame_wall_ms")
-                wall_hist.observe(wall_ms)
-                if wall_ms > deadline_ms:
-                    telemetry.counter("frame_deadline_misses_total").inc()
-            if monitored:
-                monitor.observe_frame(record, expected_config, wall_ms=wall_ms, quality=qrecord)
-        sim.run_until(duration_s + 0.1)
-        if traced:
+            self.tick(i, t, due(t))
+        self.soc.sim.run_until(duration_s + 0.1)
+        if telemetry.tracer.enabled:
             telemetry.tracer.end(
                 drive_span,
                 vehicle_dropped=self.report.vehicle_dropped,
                 pedestrian_dropped=self.report.pedestrian_dropped,
                 reconfigurations=len(self.report.reconfigurations),
             )
-        if observed:
+        if telemetry.enabled:
             telemetry.counter("reconfigurations_total").inc(len(self.report.reconfigurations))
             telemetry.gauge("drops_per_reconfiguration").set(
                 self.report.drops_per_reconfiguration()
             )
             self.soc.record_telemetry()
-        if monitored:
+        if monitor.enabled:
             monitor.finish_drive()
-        if scored:
+        if quality.enabled:
             quality.finish_drive()
         return self.report
 

@@ -96,7 +96,6 @@ class SpanProfile:
     rollups: dict[str, SpanRollup] = field(default_factory=dict)
     n_spans: int = 0
     n_roots: int = 0
-    spans_dropped: int = 0
     #: Wall-ms samples per span name (drives the percentile tables).
     _wall_ms_by_name: dict[str, list[float]] = field(default_factory=dict, repr=False)
     #: ``name path -> total weight (wall µs)`` for the collapsed-stack export.
@@ -138,7 +137,7 @@ class SpanProfile:
         """The hot-span table ``python -m repro telemetry --top N`` prints."""
         lines = [
             f"hot spans (self wall time, top {n} of {len(self.rollups)} names; "
-            f"{self.n_spans} spans, {self.spans_dropped} dropped)"
+            f"{self.n_spans} spans)"
         ]
         lines.append(
             f"  {'span':<28} {'count':>6} {'self ms':>10} {'total ms':>10} "
@@ -162,18 +161,17 @@ class SpanProfile:
         return {
             "n_spans": self.n_spans,
             "n_roots": self.n_roots,
-            "spans_dropped": self.spans_dropped,
             "rollups": [r.to_dict() for r in self.hot_spans(len(self.rollups))],
             "frame_wall_ms": self.frame_percentiles(),
         }
 
 
-def profile_spans(spans: Iterable[Span], spans_dropped: int = 0) -> SpanProfile:
+def profile_spans(spans: Iterable[Span]) -> SpanProfile:
     """Roll up a span list into a :class:`SpanProfile`.
 
     Unfinished spans are skipped (they have no duration yet).  A span
-    whose ``parent_id`` does not resolve — the parent was dropped by a
-    ring buffer, or the dump is partial — is treated as a root; its time
+    whose ``parent_id`` does not resolve — the dump is partial — is
+    treated as a root; its time
     is still fully attributed to its own name.
     """
     finished = [s for s in spans if s.finished]
@@ -186,7 +184,7 @@ def profile_spans(spans: Iterable[Span], spans_dropped: int = 0) -> SpanProfile:
         else:
             roots.append(span)
 
-    profile = SpanProfile(n_spans=len(finished), n_roots=len(roots), spans_dropped=spans_dropped)
+    profile = SpanProfile(n_spans=len(finished), n_roots=len(roots))
 
     def rollup(name: str) -> SpanRollup:
         entry = profile.rollups.get(name)
@@ -223,14 +221,10 @@ def profile_spans(spans: Iterable[Span], spans_dropped: int = 0) -> SpanProfile:
 
 
 def profile_tracer(tracer: Tracer) -> SpanProfile:
-    """Profile a live recording tracer (ring-buffer drops are surfaced)."""
-    return profile_spans(tracer.spans, spans_dropped=getattr(tracer, "spans_dropped", 0))
+    """Profile a live recording tracer."""
+    return profile_spans(tracer.spans)
 
 
 def profile_dump(dump) -> SpanProfile:
     """Profile a reloaded :class:`repro.telemetry.TelemetryDump`."""
-    dropped = 0
-    meta_dropped = dump.meta.get("spans_dropped") if isinstance(dump.meta, dict) else None
-    if isinstance(meta_dropped, (int, float)):
-        dropped = int(meta_dropped)
-    return profile_spans(dump.spans, spans_dropped=dropped)
+    return profile_spans(dump.spans)

@@ -130,12 +130,11 @@ class Telemetry:
         cls,
         clock: Callable[[], float] | None = None,
         wall_clock: Callable[[], float] | None = None,
-        max_spans: int | None = None,
         meta: dict[str, Any] | None = None,
     ) -> "Telemetry":
         """A session recording spans and metrics (optionally on a sim clock)."""
         return cls(
-            tracer=Tracer(clock=clock, wall_clock=wall_clock, max_spans=max_spans),
+            tracer=Tracer(clock=clock, wall_clock=wall_clock),
             metrics=MetricsRegistry(),
             meta=meta,
         )

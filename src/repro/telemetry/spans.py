@@ -25,8 +25,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from repro.errors import ConfigurationError
-
 
 @dataclass(slots=True)
 class SpanEvent:
@@ -212,9 +210,6 @@ class Tracer:
             pure-software pipelines can still be profiled on wall time.
         wall_clock: Host clock; ``time.perf_counter`` unless overridden
             (tests inject deterministic clocks).
-        max_spans: Optional ring-buffer bound on *finished* spans; the
-            oldest finished spans are discarded once exceeded (open spans
-            are never dropped).  ``spans_dropped`` counts the casualties.
     """
 
     enabled = True
@@ -223,15 +218,10 @@ class Tracer:
         self,
         clock: Callable[[], float] | None = None,
         wall_clock: Callable[[], float] | None = None,
-        max_spans: int | None = None,
     ):
-        if max_spans is not None and max_spans < 1:
-            raise ConfigurationError(f"max_spans must be >= 1, got {max_spans}")
         self.clock = clock or (lambda: 0.0)
         self.wall_clock = wall_clock or time.perf_counter
-        self.max_spans = max_spans
         self.spans: list[Span] = []
-        self.spans_dropped = 0
         self._stack: list[Span] = []
         self._next_id = 0
 
@@ -275,10 +265,6 @@ class Tracer:
         span.end_s = self.clock()
         span.wall_end_s = self.wall_clock()
         self.spans.append(span)
-        if self.max_spans is not None and len(self.spans) > self.max_spans:
-            drop = len(self.spans) - self.max_spans
-            del self.spans[:drop]
-            self.spans_dropped += drop
 
     def event(self, name: str, time_s: float | None = None, **attrs: Any) -> SpanEvent:
         """Instant event, tagged onto the innermost open lexical span.

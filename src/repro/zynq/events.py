@@ -194,9 +194,9 @@ class Trace:
             )
         if self.tracer.enabled:
             self.tracer.event(kind, time_s=time, source=source, **attrs)
-        if self.listeners:
-            for listener in list(self.listeners):
-                listener(time, source, kind, attrs)
+        # Listeners change only between emits, so no copy of the list.
+        for listener in self.listeners:
+            listener(time, source, kind, attrs)
 
     def record(self) -> list[TraceRecord]:
         """Subscribe a log of every later event; returns the list it fills."""

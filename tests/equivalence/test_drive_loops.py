@@ -1,11 +1,12 @@
 """The drive-loop contract: ``run_drive`` and the pixel detector are one loop.
 
 ``AdaptiveDetectionSystem.run_drive`` (timing only) and
-``AdaptiveVehicleDetector.process`` (the real pipelines) both tick through
-``issue_frame`` and then ``sense``.  Fed the same lux at the same ticks,
-they must take the same condition changes, model swaps and
-reconfigurations, refuse the same vehicle frames, and flush the same ticks
-under a ``PIPELINE_EXCEPTION`` plan.
+``AdaptiveVehicleDetector.process`` (the real pipelines as the tick's
+stage) both run ``AdaptiveDetectionSystem.tick``.  Fed the same lux at the
+same ticks, they must take the same condition changes, model swaps and
+reconfigurations, refuse the same vehicle frames, flush the same ticks
+under a ``PIPELINE_EXCEPTION`` plan, and record the same audited frame
+cores.
 
 The frame clock and the sensor both run at 1/64 s.  ``run_drive`` adds up
 its sensor clock, and 0.02 s is not a binary fraction, so at 50 fps the
@@ -21,6 +22,7 @@ import pytest
 from repro.adaptive.controller import ControllerConfig
 from repro.adaptive.sensor import LightSensor, LuxTrace
 from repro.core.functional import AdaptiveVehicleDetector, FunctionalConfig
+from repro.core.spec import frames_digest
 from repro.core.system import AdaptiveDetectionSystem, SystemConfig
 from repro.datasets.lighting import LightingCondition, lighting_for_condition
 from repro.datasets.scene import SceneConfig, render_scene
@@ -125,6 +127,22 @@ def test_one_loop(condition_models, dark_detector, tiny_frame, initial, plan_fac
         not f.vehicle_accepted for f in report.frames
     ]
     assert all(f.pedestrian_accepted for f in report.frames)
+    # One tick body: the pixel drive's audit trail is the timing drive's.
+    assert frames_digest(pixel.frames) == frames_digest(report.frames)
+
+
+def test_flushed_results_carry_the_flush_label(condition_models, dark_detector, tiny_frame):
+    _, adapter = both_loops(
+        condition_models, dark_detector, tiny_frame, LightingCondition.DAY, flush_plan
+    )
+    results, frames = adapter.results, adapter.system.report.frames
+    assert len(frames) == len(results)
+    # A flushed tick on an up partition is a degraded result; the blind
+    # tick after the dark->dusk switch is flushed too but reports blind.
+    assert any(r.degraded for r in results)
+    assert [r.degraded for r in results] == [
+        flushed(f) and not r.reconfiguring for f, r in zip(frames, results)
+    ]
 
 
 @pytest.mark.parametrize("plan_factory", [lambda: None, flush_plan], ids=["clean", "flushes"])

@@ -90,39 +90,21 @@ class TestRollups:
 class TestDroppedSpans:
     def test_missing_parent_promotes_to_root(self):
         orphan = _span("frame", 5, 99, 0.0, 0.020)
-        profile = profile_spans([orphan], spans_dropped=3)
+        profile = profile_spans([orphan])
         assert profile.n_roots == 1
-        assert profile.spans_dropped == 3
         # Time still fully attributed to its own name.
         assert profile.rollups["frame"].self_wall_ms == pytest.approx(20.0)
 
-    def test_ring_buffered_tracer_profiles_cleanly(self):
-        tracer = Tracer(wall_clock=iter(float(i) for i in range(1000)).__next__, max_spans=4)
+    def test_tracer_profiles_cleanly(self):
+        tracer = Tracer(wall_clock=iter(float(i) for i in range(1000)).__next__)
         with tracer.span("drive"):
             for _ in range(10):
                 with tracer.span("frame"):
                     pass
         profile = profile_tracer(tracer)
-        # 11 finished spans, ring keeps 4; the drops are surfaced.
-        assert profile.spans_dropped == 7
-        assert profile.n_spans == 4
-        # The root survived (it finished last), so surviving frames still
-        # attach to it.
+        assert profile.n_spans == 11
         assert profile.n_roots == 1
-        assert profile.rollups["frame"].count == 3
-
-    def test_ring_buffer_evicting_the_parent_promotes_children(self):
-        tracer = Tracer(wall_clock=iter(float(i) for i in range(1000)).__next__, max_spans=2)
-        root = tracer.begin("drive")
-        tracer.end(root)  # finished first; first to be evicted
-        for _ in range(4):
-            tracer.end(tracer.begin("frame", parent=root))
-        profile = profile_tracer(tracer)
-        assert profile.spans_dropped == 3
-        assert "drive" not in profile.rollups
-        # Survivors reference an evicted parent -> treated as roots.
-        assert profile.n_roots == 2
-        assert profile.rollups["frame"].count == 2
+        assert profile.rollups["frame"].count == 10
 
 
 class TestExports:
@@ -150,9 +132,8 @@ class TestExports:
         assert "hog" not in text.split("\n", 2)[2]  # cut off by top-2
 
     def test_to_dict_shape(self):
-        doc = profile_spans(_tree(), spans_dropped=1).to_dict()
+        doc = profile_spans(_tree()).to_dict()
         assert doc["n_spans"] == 4
-        assert doc["spans_dropped"] == 1
         assert [r["name"] for r in doc["rollups"]] == ["frame", "drive", "hog"]
 
 

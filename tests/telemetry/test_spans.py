@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import ConfigurationError
 from repro.telemetry.spans import NULL_SPAN, NullTracer, Span, Tracer
 
 pytestmark = pytest.mark.telemetry
@@ -106,20 +105,6 @@ class TestCallbackSpans:
     def test_end_of_null_span_is_a_noop(self, tracer):
         tracer.end(NULL_SPAN)
         assert tracer.spans == []
-
-
-class TestRingBuffer:
-    def test_oldest_finished_spans_are_evicted(self, tracer):
-        tracer.max_spans = 2
-        for i in range(5):
-            with tracer.span(f"s{i}"):
-                pass
-        assert [s.name for s in tracer.spans] == ["s3", "s4"]
-        assert tracer.spans_dropped == 3
-
-    def test_max_spans_must_be_positive(self):
-        with pytest.raises(ConfigurationError):
-            Tracer(max_spans=0)
 
 
 class TestNullTracer:
