@@ -31,11 +31,11 @@ def test_benchmark_svm_training(benchmark):
     """Time one LibLINEAR-style training run on HOG features."""
     from repro.experiments.common import build_corpora
     from repro.features.hog import HogDescriptor
-    from repro.ml.svm import train_svm
+    from repro.ml.svm import LinearSvm
     from repro.pipelines.day_dusk import hog_features_for_dataset
 
     corpora = build_corpora(scale=0.15, seed=3)
     hog = HogDescriptor()
     features = hog_features_for_dataset(corpora.day_train, hog)
-    model = benchmark(train_svm, features, corpora.day_train.labels)
+    model = benchmark(LinearSvm().train, features, corpora.day_train.labels)
     assert model.meta["epochs"] >= 1

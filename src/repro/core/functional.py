@@ -120,11 +120,12 @@ class AdaptiveVehicleDetector:
             if vehicle_ok:
                 try:
                     result.detections = detect(frame)
-                except PipelineError:
+                except PipelineError as exc:
                     # Fail safe, not silent: no detections for this frame
-                    # rather than a dead stream, and the frame marked
-                    # degraded so drives stay auditable.
+                    # rather than a dead stream, the frame marked degraded
+                    # and the error in the tick's audit trail.
                     result.degraded = True
+                    self.system._degrade("pipeline-error", f"{active}: {exc}")
             self.results.append(result)
 
         self.system.tick(len(self.results), time_s, ((time_s, lux),), stage)

@@ -26,7 +26,7 @@ from repro.hw.resources import ZYNQ_7Z100
 from repro.imaging.components import find_blobs
 from repro.imaging.geometry import Rect
 from repro.pipelines.base import Detection
-from repro.pipelines.dark import DarkConfig, DarkVehicleDetector
+from repro.pipelines.dark import MAX_CANDIDATES, DarkConfig, DarkVehicleDetector
 from repro.pipelines.evaluation import FrameEvaluation, evaluate_frames
 from repro.pipelines.taillight import (
     CLASS_RADIUS_PX,
@@ -114,7 +114,7 @@ class BlobHeuristicDetector:
                 )
             )
         candidates.sort(key=lambda c: c.area, reverse=True)
-        candidates = candidates[: self.base.config.max_candidates]
+        candidates = candidates[:MAX_CANDIDATES]
         pairs = self.base.matcher.match_pairs(candidates)
         detections = []
         for i, j, score in pairs:

@@ -1,17 +1,13 @@
-"""Hardware models: streaming timing, FPGA resources, floor-planning."""
+"""Hardware models: streaming timing, FPGA resources, floor-planning.
 
-from repro.hw.designs import (
-    DesignReport,
-    animal_design,
-    dark_design,
-    dark_pipeline,
-    day_dusk_design,
-    day_dusk_pipeline,
-    hog_svm_design,
-    pedestrian_design,
-    pedestrian_pipeline,
-    static_design,
-)
+The designs (:mod:`repro.hw.designs`) read their window, feature and DBN
+geometry from the detection pipelines, so they load on first use of one of
+their names: importing the timing model (as the SoC does) does not import
+the pipelines, HOG features or classifiers.
+"""
+
+from typing import TYPE_CHECKING, Any
+
 from repro.hw.floorplan import (
     AREA_GRANULARITY,
     PACKING,
@@ -49,6 +45,44 @@ from repro.hw.timing import (
     StreamingPipeline,
     VideoTiming,
 )
+
+if TYPE_CHECKING:
+    from repro.hw.designs import (
+        DesignReport,
+        animal_design,
+        dark_design,
+        dark_pipeline,
+        day_dusk_design,
+        day_dusk_pipeline,
+        hog_svm_design,
+        pedestrian_design,
+        pedestrian_pipeline,
+        static_design,
+    )
+
+_DESIGNS = frozenset(
+    {
+        "DesignReport",
+        "animal_design",
+        "dark_design",
+        "dark_pipeline",
+        "day_dusk_design",
+        "day_dusk_pipeline",
+        "hog_svm_design",
+        "pedestrian_design",
+        "pedestrian_pipeline",
+        "static_design",
+    }
+)
+
+
+def __getattr__(name: str) -> Any:
+    if name in _DESIGNS:
+        from repro.hw import designs
+
+        return getattr(designs, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "AREA_GRANULARITY",

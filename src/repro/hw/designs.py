@@ -10,15 +10,20 @@ Table II:
 
 and their streaming timing models (Fig. 2 / Fig. 4 pipelines at 125 MHz).
 
-Architectural parameters (window sizes, parallelism, datapath widths) are
-stated explicitly; where the paper does not publish a block's internals the
-parameters are chosen so the totals land near the published utilization.
+The detector geometry (HOG cells, windows and feature lengths, the window
+stride, the DBN stack, window and stride, the dark downsample) is read from
+the functional pipelines, so the model and the detector it times cannot
+drift apart.  Architectural parameters (parallelism, datapath widths,
+cycles per window) are stated explicitly; where the paper does not publish a
+block's internals they are chosen so the totals land near the published
+utilization.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.features.hog import HogConfig
 from repro.hw.resources import (
     ResourceVector,
     adder_tree,
@@ -43,6 +48,12 @@ from repro.hw.timing import (
     StreamingPipeline,
     VideoTiming,
 )
+from repro.ml.dbn import PAPER_DBN_CLASSES, PAPER_DBN_LAYERS
+from repro.pipelines.dark import DBN_STRIDE, DBN_WINDOW, DOWNSAMPLE_FACTOR
+from repro.pipelines.hog_svm import WINDOW_STRIDE_BLOCKS, HogSvmConfig
+
+VEHICLE_HOG = HogSvmConfig(kind="vehicle").hog
+PEDESTRIAN_HOG = HogSvmConfig(kind="pedestrian").hog
 
 
 @dataclass(frozen=True)
@@ -84,11 +95,10 @@ class DesignReport:
 def hog_svm_design(
     name: str = "day-dusk-vehicle",
     frame_width: int = 1920,
-    window_cells: int = 8,
-    n_bins: int = 9,
+    n_bins: int = VEHICLE_HOG.n_bins,
     parallel_normalizers: int = 12,
     n_models: int = 2,
-    feature_length: int = 1764,
+    feature_length: int = VEHICLE_HOG.feature_length,
     buffered_cell_rows: int = 16,
 ) -> DesignReport:
     """Resources of a streaming HOG+SVM engine.
@@ -98,7 +108,7 @@ def hog_svm_design(
     RAM-resident SVM models (day and dusk share the fabric, "stored in two
     block RAM").
     """
-    cells_per_row = frame_width // 8
+    cells_per_row = frame_width // VEHICLE_HOG.cell_size
     blocks: list[tuple[str, ResourceVector]] = []
     # Gradient: 3-row luma buffer + |g| / angle datapath (CORDIC, LUT-only).
     blocks.append(("gradient line buffers", line_buffer(3, frame_width, 8)))
@@ -144,6 +154,15 @@ def day_dusk_design() -> DesignReport:
     return hog_svm_design()
 
 
+def svm_windows(timing: VideoTiming, hog: HogConfig) -> int:
+    """Windows the SVM stage scores per frame: one scale, a window every
+    ``WINDOW_STRIDE_BLOCKS`` blocks each way."""
+    rows, cols = hog.blocks_shape
+    cell = hog.cell_size
+    positions = (timing.height // cell - rows) * (timing.width // cell - cols)
+    return max(1, positions // WINDOW_STRIDE_BLOCKS**2)
+
+
 def day_dusk_pipeline(timing: VideoTiming = HDTV_TIMING, clock_hz: float = PAPER_CLOCK_HZ) -> StreamingPipeline:
     """Fig. 2 timing: HOG descriptor -> normalizer -> SVM, II = 1."""
     pipe = StreamingPipeline(name="day-dusk-vehicle", timing=timing, clock_hz=clock_hz)
@@ -152,7 +171,7 @@ def day_dusk_pipeline(timing: VideoTiming = HDTV_TIMING, clock_hz: float = PAPER
     pipe.add_stage(PipelineStage("HOG normalizer", 1.0, latency_cycles=8 * rows))
     # SVM evaluates one window feature element per cycle, overlapped across
     # windows; demand stays below the raster rate.
-    windows = max(1, (timing.height // 8 - 7) * (timing.width // 8 - 7) // 4)
+    windows = svm_windows(timing, VEHICLE_HOG)
     pipe.add_stage(
         PipelineStage("SVM classifier", 1.0, latency_cycles=2_000, work_items_per_frame=windows * 270)
     )
@@ -166,9 +185,9 @@ def dark_design(
     name: str = "dark-vehicle",
     frame_width: int = 1920,
     frame_height: int = 1080,
-    downsample: int = 3,
-    dbn_layers: tuple[int, ...] = (81, 20, 8),
-    n_classes: int = 4,
+    downsample: int = DOWNSAMPLE_FACTOR,
+    dbn_layers: tuple[int, ...] = PAPER_DBN_LAYERS,
+    n_classes: int = PAPER_DBN_CLASSES,
     dbn_engines: int = 3,
 ) -> DesignReport:
     """Resources of the dark pipeline.
@@ -205,7 +224,7 @@ def dark_design(
     for _ in range(dbn_engines):
         total_engines = total_engines + engine
     blocks.append((f"DBN engine x{dbn_engines}", total_engines))
-    blocks.append(("window line buffers", line_buffer(9, small_w, 1)))
+    blocks.append(("window line buffers", line_buffer(DBN_WINDOW, small_w, 1)))
     blocks.append(("class grid store", ResourceVector(bram=4, lut=500, ff=600)))
     # Spatial correlation: candidate table + pair SVM.
     blocks.append(("candidate extraction", ResourceVector(lut=3_800, ff=4_200, bram=3)))
@@ -221,12 +240,13 @@ def dark_pipeline(timing: VideoTiming = HDTV_TIMING, clock_hz: float = PAPER_CLO
     pipe = StreamingPipeline(name="dark-vehicle", timing=timing, clock_hz=clock_hz)
     width = timing.width
     pipe.add_stage(PipelineStage("split + threshold + AND", 1.0, latency_cycles=8))
-    pipe.add_stage(PipelineStage("resize 3x", 1.0, latency_cycles=3 * width))
-    small_w = width // 3
-    small_h = timing.height // 3
+    factor = DOWNSAMPLE_FACTOR
+    pipe.add_stage(PipelineStage(f"resize {factor}x", 1.0, latency_cycles=factor * width))
+    small_w = width // factor
+    small_h = timing.height // factor
     pipe.add_stage(PipelineStage("closing", 1.0, latency_cycles=6 * small_w))
     # DBN: one window per cycle per engine over the decimated grid.
-    windows = ((small_h - 9) // 2 + 1) * ((small_w - 9) // 2 + 1)
+    windows = ((small_h - DBN_WINDOW) // DBN_STRIDE + 1) * ((small_w - DBN_WINDOW) // DBN_STRIDE + 1)
     dbn_cycles = windows * 24  # 24 cycles per window per engine (folded MACs)
     pipe.add_stage(
         PipelineStage(
@@ -247,10 +267,9 @@ def pedestrian_design() -> DesignReport:
     """The static partition's pedestrian HOG+SVM engine (64x32 window)."""
     return hog_svm_design(
         name="pedestrian",
-        window_cells=8,
         parallel_normalizers=2,
         n_models=1,
-        feature_length=756,
+        feature_length=PEDESTRIAN_HOG.feature_length,
         buffered_cell_rows=12,
     )
 
@@ -285,10 +304,9 @@ def animal_design() -> DesignReport:
     """
     return hog_svm_design(
         name="animal",
-        window_cells=8,
         parallel_normalizers=10,
         n_models=1,
-        feature_length=2 * 1764,
+        feature_length=2 * VEHICLE_HOG.feature_length,
         buffered_cell_rows=16,
     )
 
@@ -299,7 +317,7 @@ def pedestrian_pipeline(timing: VideoTiming = HDTV_TIMING, clock_hz: float = PAP
     rows = timing.width
     pipe.add_stage(PipelineStage("HOG descriptor", 1.0, latency_cycles=3 * rows))
     pipe.add_stage(PipelineStage("HOG normalizer", 1.0, latency_cycles=8 * rows))
-    windows = max(1, (timing.height // 8 - 7) * (timing.width // 8 - 3) // 4)
+    windows = svm_windows(timing, PEDESTRIAN_HOG)
     pipe.add_stage(
         PipelineStage("SVM classifier", 1.0, latency_cycles=2_000, work_items_per_frame=windows * 189)
     )

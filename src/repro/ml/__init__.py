@@ -1,15 +1,18 @@
-"""Machine-learning substrate: linear SVM (LibLINEAR-style), RBM, DBN."""
+"""Machine-learning substrate: linear SVM (LibLINEAR-style), RBM, DBN.
 
-from repro.ml.dbn import PAPER_DBN_CLASSES, PAPER_DBN_LAYERS, DbnConfig, DeepBeliefNetwork
+Each trainer runs one fixed recipe, its module's constants.  The settings
+left are the SVM's ``C`` and an RBM's seed.
+"""
+
+from repro.ml.dbn import PAPER_DBN_CLASSES, PAPER_DBN_LAYERS, DeepBeliefNetwork
 from repro.ml.kernels import affine_matrix, affine_rows, ensure_rows, square_norm_rows
 from repro.ml.linear import LinearModel, require_trained, validate_training_set
-from repro.ml.logistic import SoftmaxConfig, SoftmaxLayer, one_hot, sigmoid, softmax
-from repro.ml.rbm import Rbm, RbmConfig
+from repro.ml.logistic import SoftmaxLayer, one_hot, sigmoid, softmax
+from repro.ml.rbm import Rbm
 from repro.ml.scaler import MinMaxScaler, StandardScaler
-from repro.ml.svm import LinearSvm, SvmConfig, train_svm
+from repro.ml.svm import LinearSvm, SvmConfig
 
 __all__ = [
-    "DbnConfig",
     "DeepBeliefNetwork",
     "LinearModel",
     "LinearSvm",
@@ -17,8 +20,6 @@ __all__ = [
     "PAPER_DBN_CLASSES",
     "PAPER_DBN_LAYERS",
     "Rbm",
-    "RbmConfig",
-    "SoftmaxConfig",
     "SoftmaxLayer",
     "StandardScaler",
     "SvmConfig",
@@ -30,6 +31,5 @@ __all__ = [
     "require_trained",
     "sigmoid",
     "softmax",
-    "train_svm",
     "validate_training_set",
 ]

@@ -5,84 +5,42 @@ corresponding to the binary values of a 9x9 window of the image ... two
 hidden layers with 20 and 8 hidden nodes ... the final output layer consists
 of 4 nodes which determine the size and shape class of taillights."
 
-Training follows the classical recipe: greedy layer-wise CD pretraining of
-each RBM on the previous layer's hidden probabilities, then supervised
-training of the softmax head (optionally with backprop fine-tuning through
-the whole stack).
+Training follows the classical recipe, one fixed set of constants: greedy
+layer-wise CD-1 pretraining of each RBM on the previous layer's hidden
+probabilities (layer ``i`` seeded ``i``), then supervised training of the
+softmax head, then :data:`FINETUNE_EPOCHS` of backprop fine-tuning through
+the whole stack.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from repro.errors import ModelError, NotTrainedError
-from repro.ml.logistic import SoftmaxConfig, SoftmaxLayer, one_hot, sigmoid, softmax
-from repro.ml.rbm import Rbm, RbmConfig
+from repro.ml.logistic import SoftmaxLayer, one_hot, sigmoid, softmax
+from repro.ml.rbm import Rbm
 
 # The paper's architecture, verbatim: 9x9 binary window -> 20 -> 8 -> 4.
 PAPER_DBN_LAYERS = (81, 20, 8)
 PAPER_DBN_CLASSES = 4
-
-
-@dataclass
-class DbnConfig:
-    """Hyperparameters for the full DBN training recipe.
-
-    Attributes:
-        layers: Unit counts (visible, hidden1, hidden2, ...).
-        n_classes: Output classes of the softmax head.
-        rbm: CD training config shared by all RBM layers.
-        head: Softmax head training config.
-        finetune_epochs: Backprop epochs through the whole stack (0 skips).
-        finetune_rate: Backprop learning rate.
-        seed: Base seed; layer i uses seed + i.
-    """
-
-    layers: tuple[int, ...] = PAPER_DBN_LAYERS
-    n_classes: int = PAPER_DBN_CLASSES
-    rbm: RbmConfig = field(default_factory=RbmConfig)
-    head: SoftmaxConfig = field(default_factory=SoftmaxConfig)
-    finetune_epochs: int = 400
-    finetune_rate: float = 0.5
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if len(self.layers) < 2:
-            raise ModelError("DBN needs at least one hidden layer")
-        if any(n < 1 for n in self.layers):
-            raise ModelError(f"layer sizes must be >= 1, got {self.layers}")
-        if self.n_classes < 2:
-            raise ModelError(f"n_classes must be >= 2, got {self.n_classes}")
-        if self.finetune_epochs < 0:
-            raise ModelError("finetune_epochs must be >= 0")
+#: Full-batch backprop epochs through the whole stack.
+FINETUNE_EPOCHS = 400
+#: Backprop learning rate.
+FINETUNE_RATE = 0.5
 
 
 class DeepBeliefNetwork:
-    """Stacked-RBM classifier with greedy pretraining and optional fine-tune."""
+    """The paper's 81-20-8-4 stacked-RBM classifier, pretrained then fine-tuned."""
 
-    def __init__(self, config: DbnConfig | None = None):
-        self.config = config or DbnConfig()
-        cfg = self.config
-        self.rbms: list[Rbm] = []
-        for i in range(len(cfg.layers) - 1):
-            layer_cfg = RbmConfig(
-                learning_rate=cfg.rbm.learning_rate,
-                epochs=cfg.rbm.epochs,
-                batch_size=cfg.rbm.batch_size,
-                cd_k=cfg.rbm.cd_k,
-                momentum=cfg.rbm.momentum,
-                weight_decay=cfg.rbm.weight_decay,
-                seed=cfg.seed + i,
-            )
-            self.rbms.append(Rbm(cfg.layers[i], cfg.layers[i + 1], layer_cfg))
-        self.head = SoftmaxLayer(cfg.layers[-1], cfg.n_classes, cfg.head)
+    def __init__(self):
+        layers = PAPER_DBN_LAYERS
+        self.rbms = [Rbm(layers[i], layers[i + 1], seed=i) for i in range(len(layers) - 1)]
+        self.head = SoftmaxLayer(layers[-1], PAPER_DBN_CLASSES)
         self._trained = False
 
     @property
     def n_visible(self) -> int:
-        return self.config.layers[0]
+        return PAPER_DBN_LAYERS[0]
 
     # Representation -------------------------------------------------------
 
@@ -109,11 +67,11 @@ class DeepBeliefNetwork:
         return traces
 
     def fit(self, data: np.ndarray, labels: np.ndarray) -> dict:
-        """Pretrain, train the head, and (optionally) fine-tune.
+        """Pretrain, train the head, and fine-tune.
 
         Args:
             data: (N, n_visible) binary (or [0,1]) windows.
-            labels: (N,) integer class labels in [0, n_classes).
+            labels: (N,) integer class labels in [0, PAPER_DBN_CLASSES).
 
         Returns:
             Training report: RBM error traces, head losses, fine-tune losses.
@@ -125,7 +83,7 @@ class DeepBeliefNetwork:
         rbm_traces = self.pretrain(x)
         top = self.transform(x)
         head_losses = self.head.fit(top, y)
-        finetune_losses = self._finetune(x, y) if self.config.finetune_epochs else []
+        finetune_losses = self._finetune(x, y)
         self._trained = True
         return {
             "rbm_errors": rbm_traces,
@@ -135,12 +93,11 @@ class DeepBeliefNetwork:
 
     def _finetune(self, x: np.ndarray, y: np.ndarray) -> list[float]:
         """Full-stack backprop on cross-entropy (sigmoid hiddens, softmax out)."""
-        cfg = self.config
-        targets = one_hot(y, cfg.n_classes)
+        targets = one_hot(y, PAPER_DBN_CLASSES)
         n = x.shape[0]
-        rate = cfg.finetune_rate
+        rate = FINETUNE_RATE
         losses: list[float] = []
-        for _ in range(cfg.finetune_epochs):
+        for _ in range(FINETUNE_EPOCHS):
             # Forward pass, keeping activations per layer.
             activations = [x]
             for rbm in self.rbms:
@@ -169,7 +126,7 @@ class DeepBeliefNetwork:
     # Prediction -------------------------------------------------------------
 
     def predict_proba(self, data: np.ndarray) -> np.ndarray:
-        """(N, n_classes) class probabilities."""
+        """(N, PAPER_DBN_CLASSES) class probabilities."""
         if not self._trained:
             raise NotTrainedError("DeepBeliefNetwork has not been fit")
         return self.head.predict_proba(self.transform(data))

@@ -8,7 +8,7 @@ on the cross-entropy loss.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,22 +50,14 @@ def one_hot(labels: np.ndarray, n_classes: int) -> np.ndarray:
     return out
 
 
-@dataclass
-class SoftmaxConfig:
-    """Training parameters for the softmax layer."""
-
-    learning_rate: float = 0.5
-    epochs: int = 200
-    l2: float = 1e-4
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.learning_rate <= 0:
-            raise ModelError(f"learning_rate must be positive, got {self.learning_rate}")
-        if self.epochs < 1:
-            raise ModelError(f"epochs must be >= 1, got {self.epochs}")
-        if self.l2 < 0:
-            raise ModelError(f"l2 must be >= 0, got {self.l2}")
+#: Gradient-descent step of the softmax head.
+SOFTMAX_LEARNING_RATE = 0.5
+#: Full-batch epochs of the softmax head.
+SOFTMAX_EPOCHS = 200
+#: L2 penalty on the head's weights.
+SOFTMAX_L2 = 1e-4
+#: RNG seed of the head's weight init.
+SOFTMAX_SEED = 0
 
 
 @dataclass
@@ -74,14 +66,13 @@ class SoftmaxLayer:
 
     n_inputs: int
     n_classes: int
-    config: SoftmaxConfig = field(default_factory=SoftmaxConfig)
 
     def __post_init__(self) -> None:
         if self.n_inputs < 1 or self.n_classes < 2:
             raise ModelError(
                 f"need n_inputs >= 1 and n_classes >= 2, got {self.n_inputs}, {self.n_classes}"
             )
-        rng = make_rng(self.config.seed)
+        rng = make_rng(SOFTMAX_SEED)
         self.weights = rng.normal(0.0, 0.01, size=(self.n_inputs, self.n_classes))
         self.bias = np.zeros(self.n_classes)
         self._trained = False
@@ -94,18 +85,17 @@ class SoftmaxLayer:
         targets = one_hot(labels, self.n_classes)
         if targets.shape[0] != x.shape[0]:
             raise ModelError("features and labels must align")
-        cfg = self.config
         n = x.shape[0]
         losses: list[float] = []
-        for _ in range(cfg.epochs):
+        for _ in range(SOFTMAX_EPOCHS):
             probs = softmax(x @ self.weights + self.bias)
             err = probs - targets
-            grad_w = x.T @ err / n + cfg.l2 * self.weights
+            grad_w = x.T @ err / n + SOFTMAX_L2 * self.weights
             grad_b = err.mean(axis=0)
-            self.weights -= cfg.learning_rate * grad_w
-            self.bias -= cfg.learning_rate * grad_b
+            self.weights -= SOFTMAX_LEARNING_RATE * grad_w
+            self.bias -= SOFTMAX_LEARNING_RATE * grad_b
             loss = -np.mean(np.sum(targets * np.log(probs + 1e-12), axis=1))
-            losses.append(float(loss + 0.5 * cfg.l2 * np.sum(self.weights**2)))
+            losses.append(float(loss + 0.5 * SOFTMAX_L2 * np.sum(self.weights**2)))
         self._trained = True
         return losses
 

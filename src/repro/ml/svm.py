@@ -2,17 +2,17 @@
 
 The paper trains its day / dusk / combined vehicle models and the pedestrian
 model with LibLINEAR [16].  This module implements LibLINEAR's default
-solver, dual coordinate descent for L2-regularised L1- or L2-loss SVC
-(Hsieh et al., ICML 2008), from scratch on numpy:
+solver, dual coordinate descent for L2-regularised L2-loss SVC (-s 1;
+Hsieh et al., ICML 2008), from scratch on numpy:
 
-    min_a  1/2 a^T Q a - e^T a
-    s.t.   0 <= a_i <= U          (U = C for L1 loss, inf for L2 loss)
+    min_a  1/2 a^T (Q + D/(2C)) a - e^T a
+    s.t.   a_i >= 0
 
-with Q_ij = y_i y_j x_i.x_j (+ diag D/(2C) for L2 loss), maintaining
-w = sum_i a_i y_i x_i so every coordinate update is O(D).
+with Q_ij = y_i y_j x_i.x_j, maintaining w = sum_i a_i y_i x_i so every
+coordinate update is O(D).
 
 A bias term is handled LibLINEAR-style by augmenting each sample with a
-constant feature of 1.0.
+constant feature of :data:`SVM_BIAS_SCALE`.
 """
 
 from __future__ import annotations
@@ -25,6 +25,15 @@ from repro.errors import ModelError
 from repro.ml.linear import LinearModel, validate_training_set
 from repro.rng import make_rng
 
+#: Stop when the projected-gradient spread falls below this (LibLINEAR -e).
+SVM_TOLERANCE = 1e-3
+#: Hard cap on outer epochs over the data.
+SVM_MAX_ITER = 1000
+#: Value of the augmented bias feature (LibLINEAR -B).
+SVM_BIAS_SCALE = 1.0
+#: RNG seed of the coordinate permutation.
+SVM_SEED = 0
+
 
 @dataclass(frozen=True)
 class SvmConfig:
@@ -32,31 +41,13 @@ class SvmConfig:
 
     Attributes:
         c: Regularisation strength (LibLINEAR -c), larger = less regularised.
-        loss: "l2" (default, LibLINEAR -s 1) or "l1" hinge loss.
-        tolerance: Stop when the projected-gradient spread falls below this.
-        max_iter: Hard cap on outer epochs over the data.
-        bias_scale: Value of the augmented bias feature (LibLINEAR -B).
-        seed: RNG seed for coordinate permutation.
     """
 
     c: float = 1.0
-    loss: str = "l2"
-    tolerance: float = 1e-3
-    max_iter: int = 1000
-    bias_scale: float = 1.0
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.c <= 0:
             raise ModelError(f"C must be positive, got {self.c}")
-        if self.loss not in ("l1", "l2"):
-            raise ModelError(f"loss must be 'l1' or 'l2', got {self.loss!r}")
-        if self.tolerance <= 0:
-            raise ModelError(f"tolerance must be positive, got {self.tolerance}")
-        if self.max_iter < 1:
-            raise ModelError(f"max_iter must be >= 1, got {self.max_iter}")
-        if self.bias_scale < 0:
-            raise ModelError(f"bias_scale must be >= 0, got {self.bias_scale}")
 
 
 class LinearSvm:
@@ -75,16 +66,9 @@ class LinearSvm:
         x, y = validate_training_set(features, labels)
         cfg = self.config
         n, d = x.shape
-        if cfg.bias_scale > 0:
-            x = np.hstack([x, np.full((n, 1), cfg.bias_scale)])
-        rng = make_rng(cfg.seed)
-
-        if cfg.loss == "l1":
-            upper = cfg.c
-            diag = 0.0
-        else:  # l2 loss
-            upper = np.inf
-            diag = 1.0 / (2.0 * cfg.c)
+        x = np.hstack([x, np.full((n, 1), SVM_BIAS_SCALE)])
+        rng = make_rng(SVM_SEED)
+        diag = 1.0 / (2.0 * cfg.c)
 
         # The per-coordinate loop runs on Python floats, which are the same
         # IEEE doubles as the array elements they replace, with the same
@@ -100,10 +84,10 @@ class LinearSvm:
         step = np.empty_like(w)
         epochs = 0
         pg_spread = np.inf
-        # Shrinking bounds on the projected gradient, as in LibLINEAR.
-        pg_max_old, pg_min_old = np.inf, -np.inf
+        # Shrinking bound on the projected gradient, as in LibLINEAR.
+        pg_max_old = np.inf
         active = np.arange(n)
-        for epoch in range(cfg.max_iter):
+        for epoch in range(SVM_MAX_ITER):
             epochs = epoch + 1
             rng.shuffle(active)
             pg_max, pg_min = -np.inf, np.inf
@@ -116,10 +100,6 @@ class LinearSvm:
                     if grad > pg_max_old:
                         continue  # shrink
                     pg = 0.0 if grad > 0.0 else grad
-                elif old >= upper:
-                    if grad < pg_min_old:
-                        continue  # shrink
-                    pg = 0.0 if grad < 0.0 else grad
                 else:
                     pg = grad
                 survivors.append(i)
@@ -131,35 +111,28 @@ class LinearSvm:
                     new = old - grad / sq_norm[i]
                     if new < 0.0:
                         new = 0.0
-                    if new > upper:
-                        new = upper
                     alpha[i] = new
                     delta = (new - old) * y_i[i]
                     if delta != 0.0:
                         np.multiply(rows[i], delta, out=step)
                         w += step
             pg_spread = pg_max - pg_min
-            if pg_spread <= cfg.tolerance:
+            if pg_spread <= SVM_TOLERANCE:
                 if len(survivors) == n:
                     break
                 # Converged on the shrunken set; re-activate everything.
                 active = np.arange(n)
-                pg_max_old, pg_min_old = np.inf, -np.inf
+                pg_max_old = np.inf
                 continue
             active = np.asarray(survivors if survivors else range(n))
             pg_max_old = pg_max if pg_max > 0 else np.inf
-            pg_min_old = pg_min if pg_min < 0 else -np.inf
 
-        if cfg.bias_scale > 0:
-            weights, bias = w[:-1], float(w[-1] * cfg.bias_scale)
-        else:
-            weights, bias = w, 0.0
         return LinearModel(
-            weights=weights,
-            bias=bias,
+            weights=w[:-1],
+            bias=float(w[-1] * SVM_BIAS_SCALE),
             meta={
                 "name": name,
-                "solver": f"dual-cd-{cfg.loss}",
+                "solver": "dual-cd-l2",
                 "c": cfg.c,
                 "epochs": epochs,
                 "pg_spread": float(pg_spread),
@@ -183,13 +156,3 @@ def decision_batch(
     """
     return model.decision_batch(features, out=out)
 
-
-def train_svm(
-    features: np.ndarray,
-    labels: np.ndarray,
-    c: float = 1.0,
-    name: str = "svm",
-    **kwargs,
-) -> LinearModel:
-    """Convenience wrapper: train a LinearSvm with the given C."""
-    return LinearSvm(SvmConfig(c=c, **kwargs)).train(features, labels, name=name)

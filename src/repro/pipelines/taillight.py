@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.errors import PipelineError
+from repro.errors import ConfigurationError, PipelineError
 from repro.imaging.geometry import Rect
 from repro.ml.linear import LinearModel
 from repro.ml.scaler import StandardScaler
@@ -37,6 +37,11 @@ CLASS_RADIUS_PX = {1: 1.2, 2: 2.2, 3: 3.6}
 PAIR_SEPARATION_RATIO = (4.0, 16.0)
 
 PAIR_FEATURE_LENGTH = 6
+
+#: LibLINEAR C of the pair SVM.
+PAIR_SVM_C = 2.0
+#: SVM margin above which a gated pair is a match.
+PAIR_DECISION_THRESHOLD = 0.0
 
 
 @dataclass(frozen=True)
@@ -205,18 +210,18 @@ def make_pair_training_set(
 class TaillightPairMatcher:
     """SVM-based spatial correlation of taillight candidates."""
 
-    def __init__(self, svm_c: float = 2.0, decision_threshold: float = 0.0):
-        self.svm_c = svm_c
-        self.decision_threshold = decision_threshold
+    def __init__(self):
         self.scaler = StandardScaler()
         self.model: LinearModel | None = None
 
     def train(self, features: np.ndarray | None = None, labels: np.ndarray | None = None, seed: int = 7) -> LinearModel:
-        """Train on a pair corpus; defaults to the synthetic generator."""
-        if features is None or labels is None:
+        """Train on a pair corpus with its labels; defaults to the synthetic generator."""
+        if (features is None) != (labels is None):
+            raise ConfigurationError("give the pair features and their labels together")
+        if features is None:
             features, labels = make_pair_training_set(seed=seed)
         scaled = self.scaler.fit_transform(features)
-        self.model = LinearSvm(SvmConfig(c=self.svm_c)).train(scaled, labels, name="taillight-pair")
+        self.model = LinearSvm(SvmConfig(c=PAIR_SVM_C)).train(scaled, labels, name="taillight-pair")
         return self.model
 
     def match_score(self, a: TaillightCandidate, b: TaillightCandidate) -> float:
@@ -241,7 +246,7 @@ class TaillightPairMatcher:
         for i in range(len(candidates)):
             for j in range(i + 1, len(candidates)):
                 score = self.match_score(candidates[i], candidates[j])
-                if score > self.decision_threshold:
+                if score > PAIR_DECISION_THRESHOLD:
                     scored.append((score, i, j))
         scored.sort(reverse=True)
         used: set[int] = set()

@@ -174,3 +174,23 @@ class TestNonFinitePixels:
         assert not result.degraded
         # The lone pixel sits far from every lamp: the detections stand.
         assert result.detections == dark_detector.detect(clean)
+
+
+class TestPipelineErrorAudit:
+    def test_pipeline_error_is_recorded_in_the_frame_faults(
+        self, condition_models, dark_detector, monkeypatch
+    ):
+        detector = AdaptiveVehicleDetector(condition_models, dark_detector)
+
+        def fail(frame):
+            raise PipelineError("scan failed")
+
+        monkeypatch.setattr(detector._hog["day"], "detect_multiscale", fail)
+        result = detector.process(0.0, 30000.0, _frame(LightingCondition.DAY).rgb)
+        assert result.degraded
+        record = detector.system.report.frames[-1]
+        assert record.faults == ("degrade:pipeline-error(vehicle-day-dusk:day: scan failed)",)
+        assert [d.kind for d in detector.system.report.degradations] == ["pipeline-error"]
+        monkeypatch.undo()
+        detector.process(0.02, 30000.0, _frame(LightingCondition.DAY).rgb)
+        assert detector.system.report.frames[-1].faults == ()

@@ -32,6 +32,7 @@ from repro.features.hog import HogDescriptor
 from repro.imaging.geometry import Rect
 from repro.imaging.image import ensure_gray
 from repro.ml.linear import LinearModel, validate_training_set
+from repro.ml import svm
 from repro.ml.svm import SvmConfig
 from repro.pipelines import hog_svm
 from repro.pipelines.dark import DBN_STRIDE, DBN_WINDOW, DarkVehicleDetector
@@ -106,35 +107,28 @@ def svm_train_reference(
     name: str = "svm",
     events: list[str] | None = None,
 ) -> LinearModel:
-    """LibLINEAR's dual coordinate descent with every quantity a numpy value.
+    """LibLINEAR's L2-loss dual coordinate descent, every quantity a numpy value.
 
     ``alpha``, ``y`` and ``sq_norm`` are arrays indexed per coordinate, and
-    the ``w`` update is ``w += delta * x[i]``.  ``events``, when given,
+    the ``w`` update is ``w += delta * x[i]``.  The solver constants are
+    read from :mod:`repro.ml.svm` at call time.  ``events``, when given,
     collects "shrink" and "reactivate" as the solver takes those steps.
     """
     events = [] if events is None else events
     x, y = validate_training_set(features, labels)
-    cfg = config
     n, d = x.shape
-    if cfg.bias_scale > 0:
-        x = np.hstack([x, np.full((n, 1), cfg.bias_scale)])
-    rng = make_rng(cfg.seed)
-
-    if cfg.loss == "l1":
-        upper = cfg.c
-        diag = 0.0
-    else:  # l2 loss
-        upper = np.inf
-        diag = 1.0 / (2.0 * cfg.c)
+    x = np.hstack([x, np.full((n, 1), svm.SVM_BIAS_SCALE)])
+    rng = make_rng(svm.SVM_SEED)
+    diag = 1.0 / (2.0 * config.c)
 
     sq_norm = np.einsum("ij,ij->i", x, x) + diag
     alpha = np.zeros(n)
     w = np.zeros(x.shape[1])
     epochs = 0
     pg_spread = np.inf
-    pg_max_old, pg_min_old = np.inf, -np.inf
+    pg_max_old = np.inf
     active = np.arange(n)
-    for epoch in range(cfg.max_iter):
+    for epoch in range(svm.SVM_MAX_ITER):
         epochs = epoch + 1
         rng.shuffle(active)
         pg_max, pg_min = -np.inf, np.inf
@@ -146,11 +140,6 @@ def svm_train_reference(
                     events.append("shrink")
                     continue
                 pg = min(grad, 0.0)
-            elif alpha[i] >= upper:
-                if grad < pg_min_old:
-                    events.append("shrink")
-                    continue
-                pg = max(grad, 0.0)
             else:
                 pg = grad
             survivors.append(i)
@@ -158,33 +147,28 @@ def svm_train_reference(
             pg_min = min(pg_min, pg)
             if abs(pg) > 1e-14:
                 old = alpha[i]
-                alpha[i] = min(max(old - grad / sq_norm[i], 0.0), upper)
+                alpha[i] = max(old - grad / sq_norm[i], 0.0)
                 delta = (alpha[i] - old) * y[i]
                 if delta != 0.0:
                     w += delta * x[i]
         pg_spread = pg_max - pg_min
-        if pg_spread <= cfg.tolerance:
+        if pg_spread <= svm.SVM_TOLERANCE:
             if len(survivors) == n:
                 break
             events.append("reactivate")
             active = np.arange(n)
-            pg_max_old, pg_min_old = np.inf, -np.inf
+            pg_max_old = np.inf
             continue
         active = np.asarray(survivors if survivors else range(n))
         pg_max_old = pg_max if pg_max > 0 else np.inf
-        pg_min_old = pg_min if pg_min < 0 else -np.inf
 
-    if cfg.bias_scale > 0:
-        weights, bias = w[:-1], float(w[-1] * cfg.bias_scale)
-    else:
-        weights, bias = w, 0.0
     return LinearModel(
-        weights=weights,
-        bias=bias,
+        weights=w[:-1],
+        bias=float(w[-1] * svm.SVM_BIAS_SCALE),
         meta={
             "name": name,
-            "solver": f"dual-cd-{cfg.loss}",
-            "c": cfg.c,
+            "solver": "dual-cd-l2",
+            "c": config.c,
             "epochs": epochs,
             "pg_spread": float(pg_spread),
             "n_support": int(np.count_nonzero(alpha > 1e-12)),

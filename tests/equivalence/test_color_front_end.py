@@ -183,9 +183,7 @@ def lamp_frame(seed: int) -> np.ndarray:
 
 CONFIGS = {
     "otsu": {},
-    "fixed_luma_threshold": {"luma_threshold": 0.5},
     "luma_only": {"use_chroma": False},
-    "luma_only_fixed": {"use_chroma": False, "luma_threshold": 0.5},
 }
 
 
@@ -210,7 +208,7 @@ class TestPreprocessMasks:
     def test_lamp_frame_exercises_the_chroma_test(self):
         # The chroma test must both keep and drop lit pixels here, or the
         # frame could not tell Cr at the lit pixels from Cr anywhere else.
-        masks = oracle_masks(DarkVehicleDetector(DarkConfig(luma_threshold=0.5)), lamp_frame(4))
+        masks = oracle_masks(DarkVehicleDetector(), lamp_frame(4))
         lit = masks["luma_mask"]
         assert 0 < np.count_nonzero(masks["merged_mask"]) < np.count_nonzero(lit)
         assert np.count_nonzero(masks["chroma_mask"] & ~lit) > 0

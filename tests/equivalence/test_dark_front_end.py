@@ -26,7 +26,15 @@ from repro.imaging.color import rgb_to_ycbcr, split_channels
 from repro.imaging.morphology import closing, square_element
 from repro.imaging.resize import downsample_area, downsample_binary
 from repro.pipelines import dark
-from repro.pipelines.dark import DBN_STRIDE, DBN_WINDOW, DarkVehicleDetector
+from repro.pipelines.dark import (
+    CLOSING_SIZE,
+    CR_THRESHOLD,
+    DBN_STRIDE,
+    DBN_WINDOW,
+    DOWNSAMPLE_VOTE,
+    LUMA_MARGIN,
+    DarkVehicleDetector,
+)
 
 from tests.equivalence.references import reference_scans
 
@@ -73,21 +81,17 @@ def oracle_downsample(mask: np.ndarray, factor: int, vote: float) -> np.ndarray:
 
 def oracle_masks(detector: DarkVehicleDetector, rgb: np.ndarray) -> dict[str, np.ndarray | None]:
     """Every mask ``preprocess`` records in a ``DarkStageTrace``, from full planes."""
-    cfg = detector.config
     luma, _cb, cr = oracle_split(rgb)
-    threshold = cfg.luma_threshold
-    if threshold is None:
-        threshold = oracle_otsu(luma) + cfg.luma_margin
-    luma_mask = luma > threshold
-    chroma_mask = cr > cfg.cr_threshold if cfg.use_chroma else None
+    luma_mask = luma > oracle_otsu(luma) + LUMA_MARGIN
+    chroma_mask = cr > CR_THRESHOLD if detector.config.use_chroma else None
     merged = luma_mask & chroma_mask if chroma_mask is not None else luma_mask
     factor = detector._effective_factor(rgb.shape[0], rgb.shape[1])
-    small = oracle_downsample(merged, factor, cfg.downsample_vote) if factor > 1 else merged
+    small = oracle_downsample(merged, factor, DOWNSAMPLE_VOTE) if factor > 1 else merged
     return {
         "luma_mask": luma_mask,
         "chroma_mask": chroma_mask,
         "merged_mask": merged,
-        "processed_mask": closing(small, square_element(cfg.closing_size)),
+        "processed_mask": closing(small, square_element(CLOSING_SIZE)),
     }
 
 

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import ModelError
-from repro.ml.dbn import DbnConfig, DeepBeliefNetwork
+from repro.ml.dbn import DeepBeliefNetwork
 from repro.ml.kernels import affine_matrix, affine_rows, ensure_rows, square_norm_rows
 from repro.ml.linear import LinearModel
 
@@ -83,19 +83,19 @@ class TestModelInvariance:
             alone = float(model.decision_values(x[i]))
             assert np.float64(alone).tobytes() == batch[i].tobytes()
 
-    def test_dbn_single_equals_batch_row(self, trained_tiny_dbn):
-        dbn, windows = trained_tiny_dbn
+    def test_dbn_single_equals_batch_row(self, trained_dbn):
+        dbn, windows = trained_dbn
         batch = dbn.decision_batch(windows)
         for i in range(windows.shape[0]):
             alone = dbn.decision_batch(windows[i : i + 1])
             assert batch[i].tobytes() == alone[0].tobytes()
 
-    def test_dbn_predict_batch_matches_predict(self, trained_tiny_dbn):
-        dbn, windows = trained_tiny_dbn
+    def test_dbn_predict_batch_matches_predict(self, trained_dbn):
+        dbn, windows = trained_dbn
         assert np.array_equal(dbn.predict_batch(windows), dbn.predict(windows))
 
-    def test_dbn_predict_batch_chunk_invariant(self, trained_tiny_dbn):
-        dbn, windows = trained_tiny_dbn
+    def test_dbn_predict_batch_chunk_invariant(self, trained_dbn):
+        dbn, windows = trained_dbn
         full = dbn.predict_batch(windows)
         chunked = np.concatenate(
             [dbn.predict_batch(windows[i : i + 3]) for i in range(0, windows.shape[0], 3)]
@@ -112,22 +112,19 @@ class TestValidation:
         with pytest.raises(ModelError):
             ensure_rows(np.zeros((2, 3)), 4)
 
-    def test_dbn_decision_batch_rejects_1d(self, trained_tiny_dbn):
-        dbn, windows = trained_tiny_dbn
+    def test_dbn_decision_batch_rejects_1d(self, trained_dbn):
+        dbn, windows = trained_dbn
         with pytest.raises(ModelError):
             dbn.decision_batch(windows[0])
 
 
 @pytest.fixture(scope="module")
-def trained_tiny_dbn():
-    """A small trained DBN plus a window batch to score."""
+def trained_dbn():
+    """A DBN trained on a small corpus, plus a window batch to score."""
     rng = np.random.default_rng(6)
     windows = (rng.random((40, 81)) < 0.3).astype(np.float64)
     labels = rng.integers(0, 4, size=40)
-    config = DbnConfig(layers=(81, 12, 6), finetune_epochs=20)
-    config.rbm.epochs = 3
-    config.head.epochs = 30
-    dbn = DeepBeliefNetwork(config)
+    dbn = DeepBeliefNetwork()
     dbn.fit(windows, labels)
     score_batch = (rng.random((13, 81)) < 0.3).astype(np.float64)
     return dbn, score_batch

@@ -17,9 +17,9 @@ from repro.experiments.common import build_corpora
 from repro.imaging.filters import convolve2d, convolve_separable, gaussian_blur, gaussian_kernel1d
 from repro.ml import dbn as dbn_module
 from repro.ml import rbm as rbm_module
-from repro.ml.dbn import DbnConfig, DeepBeliefNetwork
+from repro.ml import svm as svm_module
+from repro.ml.dbn import DeepBeliefNetwork
 from repro.ml.logistic import sigmoid
-from repro.ml.rbm import RbmConfig
 from repro.ml.svm import LinearSvm, SvmConfig
 from repro.pipelines.day_dusk import train_condition_models
 from repro.pipelines.pedestrian import PedestrianDetector
@@ -49,12 +49,10 @@ def blobs(n: int, d: int, separation: float, seed: int) -> tuple[np.ndarray, np.
 
 
 class TestSvmAgainstOracle:
-    @pytest.mark.parametrize("loss", ["l1", "l2"])
-    @pytest.mark.parametrize("bias_scale", [0.0, 1.0])
     @pytest.mark.parametrize("c", [0.01, 1.0, 100.0])
-    def test_losses_bias_and_c(self, loss, bias_scale, c):
+    def test_each_c(self, c):
         features, labels = blobs(120, 9, separation=1.0, seed=3)
-        config = SvmConfig(c=c, loss=loss, bias_scale=bias_scale, max_iter=300)
+        config = SvmConfig(c=c)
         assert_same_model(
             LinearSvm(config).train(features, labels, name="x"),
             svm_train_reference(config, features, labels, name="x"),
@@ -64,16 +62,17 @@ class TestSvmAgainstOracle:
         # Well separated clouds: most points leave the active set, and the
         # solver converges on the shrunken set before re-activating all.
         features, labels = blobs(300, 4, separation=4.0, seed=5)
-        config = SvmConfig(c=1.0, tolerance=1e-4)
+        config = SvmConfig(c=1.0)
         events: list[str] = []
         want = svm_train_reference(config, features, labels, name="x", events=events)
         assert "shrink" in events and "reactivate" in events
         assert_same_model(LinearSvm(config).train(features, labels, name="x"), want)
 
-    def test_max_iter_cap_and_non_contiguous_rows(self):
+    def test_max_iter_cap_and_non_contiguous_rows(self, monkeypatch):
         features, labels = blobs(80, 6, separation=0.3, seed=9)
         features = np.asfortranarray(features)
-        config = SvmConfig(c=10.0, loss="l1", bias_scale=0.0, max_iter=3)
+        monkeypatch.setattr(svm_module, "SVM_MAX_ITER", 3)
+        config = SvmConfig(c=10.0)
         got = LinearSvm(config).train(features, labels)
         assert got.meta["epochs"] == 3
         assert_same_model(got, svm_train_reference(config, features, labels))
@@ -143,12 +142,11 @@ class TestSigmoidAgainstOracle:
 
     def test_dbn_training_matches_the_oracle_logistic(self, monkeypatch):
         windows, labels = make_taillight_windows(n_per_class=30, seed=2)
-        config = DbnConfig(rbm=RbmConfig(epochs=3), finetune_epochs=20)
-        fast = DeepBeliefNetwork(config)
+        fast = DeepBeliefNetwork()
         fast.fit(windows, labels)
         monkeypatch.setattr(rbm_module, "sigmoid", sigmoid_reference)
         monkeypatch.setattr(dbn_module, "sigmoid", sigmoid_reference)
-        slow = DeepBeliefNetwork(config)
+        slow = DeepBeliefNetwork()
         slow.fit(windows, labels)
         for a, b in zip(fast.rbms, slow.rbms):
             assert a.weights.tobytes() == b.weights.tobytes()

@@ -6,18 +6,19 @@ import numpy as np
 import pytest
 
 from repro.errors import ModelError, NotTrainedError
-from repro.ml.dbn import PAPER_DBN_CLASSES, PAPER_DBN_LAYERS, DbnConfig, DeepBeliefNetwork
-from repro.ml.logistic import SoftmaxConfig
-from repro.ml.rbm import RbmConfig
+from repro.ml.dbn import PAPER_DBN_CLASSES, PAPER_DBN_LAYERS, DeepBeliefNetwork
+from repro.ml.rbm import RBM_EPOCHS
 
 
-def _fast_config(**kwargs) -> DbnConfig:
-    return DbnConfig(
-        rbm=RbmConfig(epochs=3, seed=0),
-        head=SoftmaxConfig(epochs=60),
-        finetune_epochs=20,
-        **kwargs,
-    )
+@pytest.fixture(scope="module")
+def fitted():
+    """One DBN fit on the corpus size the dark pipeline trains with."""
+    from repro.datasets.synthetic import make_taillight_windows
+
+    x, y = make_taillight_windows(n_per_class=250, seed=1)
+    dbn = DeepBeliefNetwork()
+    report = dbn.fit(x, y)
+    return dbn, report, x, y
 
 
 class TestArchitecture:
@@ -32,30 +33,16 @@ class TestArchitecture:
         assert dbn.rbms[1].weights.shape == (20, 8)
         assert dbn.head.weights.shape == (8, 4)
 
-    def test_rejects_too_few_layers(self):
-        with pytest.raises(ModelError):
-            DbnConfig(layers=(81,))
-
-    def test_rejects_single_class(self):
-        with pytest.raises(ModelError):
-            DbnConfig(n_classes=1)
-
 
 class TestTraining:
-    def test_learns_taillight_windows(self):
-        from repro.datasets.synthetic import make_taillight_windows
-
-        # Default training budget and the corpus size the dark pipeline
-        # trains with; the fast config underfits 4 classes.
-        x, y = make_taillight_windows(n_per_class=250, seed=1)
-        dbn = DeepBeliefNetwork()
-        report = dbn.fit(x, y)
+    def test_learns_taillight_windows(self, fitted):
+        dbn, report, x, y = fitted
         assert dbn.score(x, y) > 0.8
         assert len(report["rbm_errors"]) == 2
         assert report["finetune_losses"][-1] <= report["finetune_losses"][0]
 
     def test_transform_shape(self):
-        dbn = DeepBeliefNetwork(_fast_config())
+        dbn = DeepBeliefNetwork()
         out = dbn.transform(np.zeros((5, 81)))
         assert out.shape == (5, 8)
 
@@ -70,16 +57,12 @@ class TestTraining:
             dbn.predict(np.zeros((1, 81)))
 
     def test_fit_rejects_misaligned_labels(self):
-        dbn = DeepBeliefNetwork(_fast_config())
+        dbn = DeepBeliefNetwork()
         with pytest.raises(ModelError):
             dbn.fit(np.zeros((4, 81)), np.zeros(3, dtype=int))
 
-    def test_proba_simplex(self):
-        from repro.datasets.synthetic import make_taillight_windows
-
-        x, y = make_taillight_windows(n_per_class=40, seed=2)
-        dbn = DeepBeliefNetwork(_fast_config())
-        dbn.fit(x, y)
+    def test_proba_simplex(self, fitted):
+        dbn, _, x, _ = fitted
         probs = dbn.predict_proba(x[:10])
         assert probs.shape == (10, 4)
         assert np.allclose(probs.sum(axis=1), 1.0)
@@ -87,9 +70,10 @@ class TestTraining:
     def test_deterministic_given_seed(self):
         from repro.datasets.synthetic import make_taillight_windows
 
+        # Layer i's RBM is seeded i, the head 0: two fits are one model.
         x, y = make_taillight_windows(n_per_class=30, seed=3)
-        a = DeepBeliefNetwork(_fast_config())
-        b = DeepBeliefNetwork(_fast_config())
+        a = DeepBeliefNetwork()
+        b = DeepBeliefNetwork()
         a.fit(x, y)
         b.fit(x, y)
         assert np.array_equal(a.predict(x), b.predict(x))
@@ -97,7 +81,7 @@ class TestTraining:
     def test_pretraining_without_labels(self):
         rng = np.random.default_rng(4)
         data = (rng.random((60, 81)) < 0.3).astype(float)
-        dbn = DeepBeliefNetwork(_fast_config())
+        dbn = DeepBeliefNetwork()
         traces = dbn.pretrain(data)
         assert len(traces) == 2
-        assert all(len(t) == 3 for t in traces)
+        assert all(len(t) == RBM_EPOCHS for t in traces)

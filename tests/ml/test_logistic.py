@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ModelError, NotTrainedError
-from repro.ml.logistic import SoftmaxConfig, SoftmaxLayer, one_hot, sigmoid, softmax
+from repro.ml.logistic import SoftmaxLayer, one_hot, sigmoid, softmax
 
 
 class TestPrimitives:
@@ -43,7 +43,7 @@ class TestSoftmaxLayer:
         centers = np.array([[3.0, 0.0], [-3.0, 0.0], [0.0, 3.0]])
         x = np.vstack([rng.normal(c, 0.3, size=(40, 2)) for c in centers])
         y = np.repeat(np.arange(3), 40)
-        layer = SoftmaxLayer(2, 3, SoftmaxConfig(epochs=300))
+        layer = SoftmaxLayer(2, 3)
         losses = layer.fit(x, y)
         assert losses[-1] < losses[0]
         assert (layer.predict(x) == y).mean() > 0.95
@@ -57,20 +57,20 @@ class TestSoftmaxLayer:
         rng = np.random.default_rng(2)
         x = rng.random((20, 4))
         y = rng.integers(0, 2, 20)
-        layer = SoftmaxLayer(4, 2, SoftmaxConfig(epochs=10))
+        layer = SoftmaxLayer(4, 2)
         layer.fit(x, y)
         probs = layer.predict_proba(x)
         assert probs.shape == (20, 2)
         assert np.allclose(probs.sum(axis=1), 1.0)
 
     def test_rejects_wrong_width(self):
-        layer = SoftmaxLayer(4, 2, SoftmaxConfig(epochs=1))
+        layer = SoftmaxLayer(4, 2)
         layer.fit(np.zeros((4, 4)), np.array([0, 1, 0, 1]))
         with pytest.raises(ModelError):
             layer.predict(np.zeros((2, 3)))
 
     def test_rejects_bad_config(self):
         with pytest.raises(ModelError):
-            SoftmaxConfig(learning_rate=0.0)
-        with pytest.raises(ModelError):
             SoftmaxLayer(0, 2)
+        with pytest.raises(ModelError):
+            SoftmaxLayer(4, 1)

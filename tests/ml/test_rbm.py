@@ -1,4 +1,4 @@
-"""Tests for repro.ml.rbm: CD-k training and inference."""
+"""Tests for repro.ml.rbm: CD-1 training and inference."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ModelError
-from repro.ml.rbm import Rbm, RbmConfig
+from repro.ml.rbm import Rbm
 
 
 def _stripe_data(n: int, seed: int = 0) -> np.ndarray:
@@ -36,12 +36,6 @@ class TestConstruction:
         with pytest.raises(ModelError):
             Rbm(0, 5)
 
-    def test_rejects_bad_config(self):
-        with pytest.raises(ModelError):
-            RbmConfig(momentum=1.0)
-        with pytest.raises(ModelError):
-            RbmConfig(cd_k=0)
-
 
 class TestInference:
     def test_probabilities_in_unit_interval(self):
@@ -61,13 +55,13 @@ class TestInference:
 class TestTraining:
     def test_reconstruction_error_decreases(self):
         data = _stripe_data(200, seed=1)
-        rbm = Rbm(16, 8, RbmConfig(epochs=15, learning_rate=0.2, seed=2))
+        rbm = Rbm(16, 8, seed=2)
         errors = rbm.fit(data)
         assert errors[-1] < errors[0]
 
     def test_reconstruction_roundtrip_close_after_training(self):
         data = _stripe_data(200, seed=6)
-        rbm = Rbm(16, 8, RbmConfig(epochs=25, learning_rate=0.2, seed=7))
+        rbm = Rbm(16, 8, seed=7)
         rbm.fit(data)
         recon = rbm.visible_probabilities(rbm.hidden_probabilities(data[:20]))
         err = np.mean((recon - data[:20]) ** 2)

@@ -7,10 +7,11 @@ import pytest
 
 from repro.datasets.lighting import DARK_LIGHTING, sample_dark_lighting
 from repro.datasets.scene import render_vehicle_crop
-from repro.errors import PipelineError
+from repro.errors import ConfigurationError, PipelineError
 from repro.pipelines.dark import (
     DBN_STRIDE,
     DBN_WINDOW,
+    MAX_CANDIDATES,
     DarkConfig,
     DarkStageTrace,
     DarkVehicleDetector,
@@ -32,6 +33,13 @@ class TestUntrained:
     def test_dbn_grid_raises(self):
         with pytest.raises(PipelineError):
             DarkVehicleDetector().dbn_grid(np.zeros((30, 30)))
+
+    def test_half_given_corpus_raises(self):
+        windows, labels = np.zeros((4, 81)), np.zeros(4, dtype=np.int64)
+        with pytest.raises(ConfigurationError):
+            DarkVehicleDetector().train(windows)
+        with pytest.raises(ConfigurationError):
+            DarkVehicleDetector().train(labels=labels)
 
 
 class TestPreprocess:
@@ -119,7 +127,7 @@ class TestCandidates:
 
     def test_min_blob_filter(self, dark_detector):
         grid = np.zeros((20, 20), dtype=np.int64)
-        grid[3, 3] = 1  # single hit window < min_blob_windows=2
+        grid[3, 3] = 1  # single hit window < MIN_BLOB_WINDOWS = 2
         assert dark_detector.extract_candidates(grid) == []
 
     def test_max_candidates_cap(self, dark_detector):
@@ -128,7 +136,7 @@ class TestCandidates:
             r, c = (i % 6) * 6, (i // 6) * 8
             grid[r : r + 2, c : c + 2] = 1
         cands = dark_detector.extract_candidates(grid)
-        assert len(cands) <= dark_detector.config.max_candidates
+        assert len(cands) <= MAX_CANDIDATES
 
 
 class TestEndToEnd:

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.errors import PipelineError
+from repro.errors import ConfigurationError, PipelineError
 from repro.imaging.geometry import Rect
 from repro.pipelines.taillight import (
     CLASS_RADIUS_PX,
@@ -100,6 +100,13 @@ class TestMatcher:
     def test_untrained_raises(self):
         with pytest.raises(PipelineError):
             TaillightPairMatcher().match_score(_cand(0, 0), _cand(10, 0))
+
+    def test_half_given_corpus_raises(self):
+        features, labels = make_pair_training_set(n_per_class=10, seed=3)
+        with pytest.raises(ConfigurationError):
+            TaillightPairMatcher().train(features)
+        with pytest.raises(ConfigurationError):
+            TaillightPairMatcher().train(labels=labels)
 
     def test_match_pairs_one_to_one(self, matcher):
         r = CLASS_RADIUS_PX[2]
