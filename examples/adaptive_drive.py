@@ -19,9 +19,9 @@ from __future__ import annotations
 
 import argparse
 
-from repro.adaptive import sunset_trace, tunnel_trace, urban_evening_trace
-from repro.core import AdaptiveDetectionSystem
-from repro.faults import SCENARIOS, get_scenario
+from repro.adaptive.sensor import sunset_trace, tunnel_trace, urban_evening_trace
+from repro.core.system import AdaptiveDetectionSystem
+from repro.faults.scenarios import SCENARIOS, get_scenario
 
 
 TRACES = {

@@ -13,9 +13,10 @@ from __future__ import annotations
 
 import argparse
 
-from repro.datasets import make_iroads_like
-from repro.imaging import ascii_render_with_boxes, luminance
-from repro.pipelines import DarkStageTrace, DarkVehicleDetector
+from repro.datasets.synthetic import make_iroads_like
+from repro.imaging.color import luminance
+from repro.imaging.draw import ascii_render_with_boxes
+from repro.pipelines.dark import DarkStageTrace, DarkVehicleDetector
 
 
 def main() -> None:

@@ -15,21 +15,15 @@ from __future__ import annotations
 
 import argparse
 
-from repro.datasets import (
-    DARK_LIGHTING,
-    LightingCondition,
-    SceneConfig,
-    make_sysu_like,
-    make_upm_like,
-    render_scene,
-)
-from repro.imaging import ascii_render_with_boxes, luminance
-from repro.pipelines import (
-    DarkVehicleDetector,
-    HogSvmDetector,
-    evaluate_crop_classifier,
-    train_condition_models,
-)
+from repro.datasets.lighting import DARK_LIGHTING, LightingCondition
+from repro.datasets.scene import SceneConfig, render_scene
+from repro.datasets.synthetic import make_sysu_like, make_upm_like
+from repro.imaging.color import luminance
+from repro.imaging.draw import ascii_render_with_boxes
+from repro.pipelines.dark import DarkVehicleDetector
+from repro.pipelines.day_dusk import train_condition_models
+from repro.pipelines.evaluation import evaluate_crop_classifier
+from repro.pipelines.hog_svm import HogSvmDetector
 
 
 def main() -> None:

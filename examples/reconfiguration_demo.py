@@ -11,13 +11,8 @@ Run:  python examples/reconfiguration_demo.py
 
 from __future__ import annotations
 
-from repro.zynq import (
-    ALL_CONTROLLERS,
-    THEORETICAL_MAX_MB_S,
-    PaperPrController,
-    ZycapController,
-    ZynqSoC,
-)
+from repro.zynq.pr import ALL_CONTROLLERS, THEORETICAL_MAX_MB_S, PaperPrController, ZycapController
+from repro.zynq.soc import ZynqSoC
 
 PAPER_NUMBERS = {"pcap": 145.0, "hwicap": 19.0, "zycap": 382.0, "paper-pr": 390.0}
 
@@ -80,7 +75,7 @@ def contention_demo() -> None:
 
 def failure_demo() -> None:
     print("\n=== Failure injection: corrupt bitstream ===")
-    from repro.zynq import BitstreamRepository, PartialBitstream
+    from repro.zynq.bitstream import BitstreamRepository, PartialBitstream
 
     repo = BitstreamRepository()
     repo.add(PartialBitstream(name="day_dusk", payload_seed=1))

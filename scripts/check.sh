@@ -31,7 +31,7 @@ else
 fi
 
 echo "== repro lint (whole-program pass, gated on LINT_BASELINE.json; SARIF artifact: lint.sarif)"
-PYTHONPATH=src python -m repro lint src --jobs 4 \
+PYTHONPATH=src python -m repro lint src \
     --compare-baseline LINT_BASELINE.json --sarif-out lint.sarif || status=1
 
 echo "== python3 -m bench --quick (benchmark smoke: every workload runs and checks its outputs)"

@@ -20,7 +20,3 @@ Subpackages:
 """
 
 __version__ = "1.0.0"
-
-from repro.errors import ReproError
-
-__all__ = ["ReproError", "__version__"]

@@ -1,41 +1,1 @@
 """Adaptation substrate: light sensing, hysteresis control, switch policy."""
-
-from repro.adaptive.controller import (
-    ConditionChange,
-    ControllerConfig,
-    LightingController,
-    NaiveController,
-)
-from repro.adaptive.policy import (
-    CONFIG_FOR_CONDITION,
-    SwitchKind,
-    SwitchPlan,
-    VehicleConfigurationId,
-    plan_switch,
-)
-from repro.adaptive.sensor import (
-    LightSensor,
-    LuxTrace,
-    flicker_trace,
-    sunset_trace,
-    tunnel_trace,
-    urban_evening_trace,
-)
-
-__all__ = [
-    "CONFIG_FOR_CONDITION",
-    "ConditionChange",
-    "ControllerConfig",
-    "LightSensor",
-    "LightingController",
-    "LuxTrace",
-    "NaiveController",
-    "SwitchKind",
-    "SwitchPlan",
-    "VehicleConfigurationId",
-    "flicker_trace",
-    "plan_switch",
-    "sunset_trace",
-    "tunnel_trace",
-    "urban_evening_trace",
-]

@@ -12,38 +12,11 @@ and public-API documentation.
 Entry points:
 
 * ``python -m repro lint [PATHS]`` — the CLI (see :mod:`repro.analysis.cli`);
-* :func:`analyze_paths` / :func:`analyze_source` — the library API;
+* :func:`~repro.analysis.core.analyze_paths` /
+  :func:`~repro.analysis.core.analyze_source` — the library API;
 * ``tests/analysis/test_self_clean.py`` — the suite that keeps ``src/``
   permanently clean.
 
 See ``ANALYSIS.md`` at the repository root for the rule catalog and the
 suppression syntax.
 """
-
-from repro.analysis.config import DEFAULT_CONFIG, LintConfig
-from repro.analysis.core import (
-    ModuleContext,
-    Rule,
-    Violation,
-    all_rules,
-    analyze_paths,
-    analyze_source,
-    get_rule,
-    register,
-)
-from repro.analysis.reporters import render_json, render_text
-
-__all__ = [
-    "DEFAULT_CONFIG",
-    "LintConfig",
-    "ModuleContext",
-    "Rule",
-    "Violation",
-    "all_rules",
-    "analyze_paths",
-    "analyze_source",
-    "get_rule",
-    "register",
-    "render_json",
-    "render_text",
-]

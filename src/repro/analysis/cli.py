@@ -91,13 +91,6 @@ def main(argv: list[str] | None = None) -> int:
         help="comma-separated rule ids to skip",
     )
     parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="analyze modules with N forked processes (default: 1)",
-    )
-    parser.add_argument(
         "--compare-baseline",
         nargs="?",
         const=DEFAULT_BASELINE_PATH,
@@ -137,10 +130,6 @@ def main(argv: list[str] | None = None) -> int:
         print(render_rule_catalog())
         return 0
 
-    if args.jobs < 1:
-        print("reprolint: --jobs must be >= 1", file=sys.stderr)
-        return 2
-
     try:
         config = replace(
             DEFAULT_CONFIG,
@@ -149,7 +138,7 @@ def main(argv: list[str] | None = None) -> int:
         )
         paths = args.paths or ["src"]
         files_checked = sum(1 for _ in iter_python_files(paths))
-        violations = analyze_paths(paths, config, jobs=args.jobs)
+        violations = analyze_paths(paths, config)
         if args.sarif_out:
             Path(args.sarif_out).write_text(
                 render_sarif(violations, files_checked=files_checked) + "\n"

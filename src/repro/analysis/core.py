@@ -277,32 +277,14 @@ def _check_module(
     return found
 
 
-# Worker-side state for --jobs: populated before the fork so children
-# inherit the parsed project copy-on-write instead of pickling it per task.
-_FORK_STATE: dict = {}
-
-
-def _check_module_forked(module_name: str) -> list[Violation]:
-    parsed = _FORK_STATE["project"].modules[module_name]
-    return _check_module(
-        parsed,
-        _FORK_STATE["sources"][module_name],
-        _FORK_STATE["config"],
-        _FORK_STATE["project"],
-    )
-
-
 def analyze_sources(
     items: Sequence[tuple[str, str, str]],
     config: LintConfig | None = None,
-    *,
-    jobs: int = 1,
 ) -> list[Violation]:
     """Whole-program analysis over ``(path, module, source)`` triples.
 
     Every module is parsed first; one :class:`ProjectContext` is built
-    over all of them; then per-module rules run (in parallel when
-    ``jobs > 1`` and the platform supports fork).  Unparseable files
+    over all of them; then per-module rules run.  Unparseable files
     yield a ``syntax-error`` pseudo-violation and are left out of the
     project graph.
     """
@@ -328,47 +310,10 @@ def analyze_sources(
     _load_rules()
     project = ProjectContext(parsed_modules, wall_strip_keys=cfg.wall_strip_keys)
 
-    if jobs > 1 and len(parsed_modules) > 1:
-        chunks = _run_parallel(parsed_modules, sources, cfg, project, jobs)
-    else:
-        chunks = [
-            _check_module(pm, sources[pm.module], cfg, project)
-            for pm in parsed_modules
-        ]
-    for chunk in chunks:
-        violations.extend(chunk)
+    for pm in parsed_modules:
+        violations.extend(_check_module(pm, sources[pm.module], cfg, project))
     violations.sort(key=lambda v: (v.path, v.line, v.col, v.rule_id))
     return violations
-
-
-def _run_parallel(
-    parsed_modules: list[ParsedModule],
-    sources: dict[str, str],
-    config: LintConfig,
-    project: ProjectContext,
-    jobs: int,
-) -> list[list[Violation]]:
-    import multiprocessing
-
-    try:
-        mp = multiprocessing.get_context("fork")
-    except ValueError:  # platform without fork: run serial
-        return [
-            _check_module(pm, sources[pm.module], config, project)
-            for pm in parsed_modules
-        ]
-    _FORK_STATE["project"] = project
-    _FORK_STATE["sources"] = sources
-    _FORK_STATE["config"] = config
-    try:
-        with mp.Pool(processes=jobs) as pool:
-            return pool.map(
-                _check_module_forked,
-                [pm.module for pm in parsed_modules],
-                chunksize=max(1, len(parsed_modules) // (jobs * 4) or 1),
-            )
-    finally:
-        _FORK_STATE.clear()
 
 
 def analyze_source(
@@ -407,12 +352,10 @@ def iter_python_files(paths: Iterable[str | Path]) -> Iterator[Path]:
 def analyze_paths(
     paths: Iterable[str | Path],
     config: LintConfig | None = None,
-    *,
-    jobs: int = 1,
 ) -> list[Violation]:
     """Run the whole-program analyzer over files/directories."""
     items = [
         (str(path), module_name_for(path), path.read_text(encoding="utf-8"))
         for path in iter_python_files(paths)
     ]
-    return analyze_sources(items, config, jobs=jobs)
+    return analyze_sources(items, config)

@@ -47,9 +47,8 @@ import ast
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
-#: Host-clock calls that leak nondeterminism into a simulation.  This is
-#: the canonical definition; :mod:`repro.analysis.rules.determinism`
-#: re-exports it for backward compatibility.
+#: Host-clock calls that leak nondeterminism into a simulation (the
+#: determinism rule and the taint sources both read it).
 WALL_CLOCK_CALLS = frozenset(
     {
         "time.time",

@@ -13,14 +13,7 @@ import ast
 from typing import Iterator
 
 from repro.analysis.core import ModuleContext, Rule, Violation, register
-
-# Canonical definitions moved to the project pass (the taint engine needs
-# them too); re-exported here because these were this module's public names.
-from repro.analysis.project import (  # noqa: F401
-    WALL_CLOCK_CALLS,
-    WALL_CLOCK_SUFFIXES,
-    dotted_name,
-)
+from repro.analysis.project import WALL_CLOCK_CALLS, WALL_CLOCK_SUFFIXES, dotted_name
 
 
 @register

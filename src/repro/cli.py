@@ -139,7 +139,7 @@ def _drive(args) -> str:
         plan = get_scenario(args.fault_plan, duration_s=args.duration)
     telemetry = None
     if args.telemetry_out is not None:
-        from repro.telemetry import Telemetry
+        from repro.telemetry.session import Telemetry
 
         telemetry = Telemetry.recording(
             meta={
@@ -151,7 +151,7 @@ def _drive(args) -> str:
         )
     monitor = None
     if args.monitor_out is not None:
-        from repro.monitor import Monitor
+        from repro.monitor.session import Monitor
 
         monitor = Monitor.recording(args.monitor_out, telemetry=telemetry)
     system = AdaptiveDetectionSystem(fault_plan=plan, telemetry=telemetry, monitor=monitor)
@@ -171,7 +171,7 @@ def _drive(args) -> str:
     lines.append(f"  pedestrian partition:      "
                  f"{'100% of frames processed' if ped_ok else 'DROPPED FRAMES'}")
     if telemetry is not None:
-        from repro.telemetry import export
+        from repro.telemetry.exporters import export
 
         export(telemetry, args.telemetry_out, args.telemetry_format)
         lines.append(
@@ -190,13 +190,11 @@ def _drive(args) -> str:
 
 
 def _telemetry(args) -> str:
-    from repro.telemetry import filter_spans, load_dump, render_report
+    from repro.telemetry.exporters import filter_spans, load_dump, render_report
 
-    if args.telemetry_in is None:
-        raise SystemExit("telemetry: --telemetry-in PATH is required")
     dump = load_dump(args.telemetry_in)
     if args.format == "openmetrics":
-        from repro.telemetry import render_openmetrics
+        from repro.telemetry.openmetrics import render_openmetrics
 
         # Exposition of the dump's metric snapshot (spans have no
         # OpenMetrics shape; the text report below covers them).
@@ -317,7 +315,7 @@ def main(argv: list[str] | None = None) -> int:
         default="none",
         help="canned fault scenario for the drive command",
     )
-    from repro.telemetry import TELEMETRY_FORMATS
+    from repro.telemetry.exporters import TELEMETRY_FORMATS
 
     parser.add_argument(
         "--telemetry-out",

@@ -10,9 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.confusion import ConfusionCounts
 from repro.experiments.common import check_scale, corpora_and_models
 from repro.experiments.tables import format_table, pct
-from repro.pipelines.evaluation import ConfusionCounts, evaluate_crop_classifier
+from repro.pipelines.evaluation import evaluate_crop_classifier
 from repro.pipelines.hog_svm import HogSvmDetector
 
 # The paper's Table I, for side-by-side comparison in reports:

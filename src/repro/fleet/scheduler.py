@@ -48,7 +48,7 @@ from repro.fleet.outcome import DriveOutcome
 from repro.fleet.status import StatusBoard
 from repro.fleet.worker import execute_spec, worker_main
 from repro.monitor.liveness import LivenessConfig
-from repro.telemetry import Telemetry
+from repro.telemetry.session import Telemetry
 
 #: Bound on every process ``join`` in the scheduler.  Joins happen on
 #: dead or just-terminated workers, so they normally return instantly —
@@ -600,7 +600,7 @@ def run_fleet(
     temporary directory when unset).
     """
     from repro.fleet.rollup import build_rollup
-    from repro.telemetry import Stopwatch
+    from repro.telemetry.metrics import Stopwatch
 
     config = config if config is not None else FleetConfig()
     scratch_trace_dir = None

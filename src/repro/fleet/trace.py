@@ -32,8 +32,8 @@ from pathlib import Path
 from typing import Any
 
 from repro.errors import FleetError
-from repro.telemetry import Telemetry, TelemetryDump, load_dump
-from repro.telemetry.exporters import _track, chrome_span_events
+from repro.telemetry.exporters import TelemetryDump, _track, chrome_span_events, load_dump
+from repro.telemetry.session import Telemetry
 from repro.telemetry.spans import Span
 
 #: The scheduler's process lane in the stitched trace.
@@ -73,7 +73,7 @@ def stitch_fleet_trace(
     """Merge drive dumps + scheduler spans into one Chrome trace.
 
     Returns the number of ``traceEvents`` written.  The document loads
-    back through :func:`repro.telemetry.load_dump` like any Chrome
+    back through :func:`repro.telemetry.exporters.load_dump` like any Chrome
     export, and opens in Perfetto with one named process lane for the
     scheduler and one per worker id.
     """

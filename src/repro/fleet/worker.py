@@ -36,7 +36,9 @@ from repro.fleet.outcome import DriveOutcome
 from repro.monitor.liveness import DEFAULT_HEARTBEAT_INTERVAL_S
 from repro.monitor.session import Monitor, MonitorConfig
 from repro.monitor.slo import SloBudgets
-from repro.telemetry import Stopwatch, Telemetry, export_jsonl
+from repro.telemetry.exporters import export_jsonl
+from repro.telemetry.metrics import Stopwatch
+from repro.telemetry.session import Telemetry
 
 #: Exit code of a chaos-crashed worker (recognisable in scheduler events).
 CHAOS_EXIT_CODE = 21

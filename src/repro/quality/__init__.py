@@ -17,39 +17,3 @@ Layout:
   (imported lazily where needed; it pulls in the drive loop).
 * :mod:`repro.quality.cli` — ``python -m repro quality report|compare``.
 """
-
-from repro.quality.events import (
-    QUALITY_EVENT_KINDS,
-    check_quality_event_kind,
-    quality_event,
-)
-from repro.quality.observer import (
-    MATCH_IOU_THRESHOLD,
-    NULL_QUALITY,
-    ModelQualityObserver,
-    NullQualityObserver,
-    QualityModelConfig,
-    observer_from_provenance,
-)
-from repro.quality.records import (
-    QUALITY_SUMMARY_SCHEMA,
-    QualityRecord,
-    fold_records,
-    merge_summaries,
-)
-
-__all__ = [
-    "QUALITY_EVENT_KINDS",
-    "QUALITY_SUMMARY_SCHEMA",
-    "MATCH_IOU_THRESHOLD",
-    "NULL_QUALITY",
-    "ModelQualityObserver",
-    "NullQualityObserver",
-    "QualityModelConfig",
-    "QualityRecord",
-    "check_quality_event_kind",
-    "fold_records",
-    "merge_summaries",
-    "observer_from_provenance",
-    "quality_event",
-]

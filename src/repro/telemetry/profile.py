@@ -226,5 +226,5 @@ def profile_tracer(tracer: Tracer) -> SpanProfile:
 
 
 def profile_dump(dump) -> SpanProfile:
-    """Profile a reloaded :class:`repro.telemetry.TelemetryDump`."""
+    """Profile a reloaded :class:`~repro.telemetry.exporters.TelemetryDump`."""
     return profile_spans(dump.spans)

@@ -129,18 +129,6 @@ class TestFlags:
         doc = (Path(__file__).resolve().parents[2] / "ANALYSIS.md").read_text()
         assert catalog in doc, "regenerate ANALYSIS.md's rule catalog with `repro lint --rules`"
 
-    def test_jobs_matches_serial_output(self, tmp_path, capsys):
-        write_tree(tmp_path, DIRTY)
-        assert main(["lint", str(tmp_path), "--format", "json"]) == 1
-        serial = capsys.readouterr().out
-        assert main(["lint", str(tmp_path), "--format", "json", "--jobs", "2"]) == 1
-        assert capsys.readouterr().out == serial
-
-    def test_bad_jobs_exits_two(self, tmp_path, capsys):
-        write_tree(tmp_path, CLEAN)
-        assert main(["lint", str(tmp_path), "--jobs", "0"]) == 2
-        assert "--jobs" in capsys.readouterr().err
-
 
 class TestSarif:
     def test_sarif_format(self, tmp_path, capsys):

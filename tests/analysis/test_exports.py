@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.analysis import analyze_source
-from repro.analysis.core import analyze_sources
+from repro.analysis.core import analyze_source, analyze_sources
 
 pytestmark = pytest.mark.analysis
 

@@ -3,7 +3,7 @@ and fork-shared mutable state."""
 
 import pytest
 
-from repro.analysis import analyze_source
+from repro.analysis.core import analyze_source
 
 pytestmark = pytest.mark.analysis
 

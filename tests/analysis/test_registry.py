@@ -19,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import DEFAULT_CONFIG
+from repro.analysis.config import DEFAULT_CONFIG
 from repro.analysis.core import Violation, all_rules, analyze_sources
 
 pytestmark = pytest.mark.analysis

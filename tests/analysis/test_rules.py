@@ -3,7 +3,7 @@ quiet on compliant code."""
 
 import pytest
 
-from repro.analysis import analyze_source
+from repro.analysis.core import analyze_source
 
 pytestmark = pytest.mark.analysis
 
@@ -195,7 +195,7 @@ class TestQualityEventVocabulary(TestEventVocabulary):
 
 
 def test_every_emitter_has_vocabulary_cases():
-    from repro.analysis import DEFAULT_CONFIG
+    from repro.analysis.config import DEFAULT_CONFIG
 
     cases = [TestEventVocabulary, *TestEventVocabulary.__subclasses__()]
     assert sorted(c.EMITTER for c in cases) == sorted(DEFAULT_CONFIG.event_vocabularies)
@@ -343,7 +343,7 @@ class TestFramework:
     def test_select_filter(self):
         from dataclasses import replace
 
-        from repro.analysis import DEFAULT_CONFIG
+        from repro.analysis.config import DEFAULT_CONFIG
 
         src = "import random\nx = time.time()\n"
         cfg = replace(DEFAULT_CONFIG, select=("determinism-clock",))
@@ -353,7 +353,7 @@ class TestFramework:
     def test_ignore_filter(self):
         from dataclasses import replace
 
-        from repro.analysis import DEFAULT_CONFIG
+        from repro.analysis.config import DEFAULT_CONFIG
 
         src = "import random\nx = time.time()\n"
         cfg = replace(DEFAULT_CONFIG, ignore=("determinism-rng",))

@@ -11,8 +11,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import analyze_paths
 from repro.analysis.baseline import compare_baseline, load_baseline
+from repro.analysis.core import analyze_paths
 
 pytestmark = pytest.mark.analysis
 

@@ -3,8 +3,7 @@ interprocedural flow through project function summaries."""
 
 import pytest
 
-from repro.analysis import analyze_source
-from repro.analysis.core import analyze_sources
+from repro.analysis.core import analyze_source, analyze_sources
 
 pytestmark = pytest.mark.analysis
 

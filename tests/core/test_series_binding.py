@@ -15,8 +15,8 @@ from repro.core.spec import DriveSpec
 from repro.core.system import run_drive_spec
 from repro.fleet.worker import execute_spec
 from repro.quality.observer import ModelQualityObserver, QualityModelConfig
-from repro.telemetry import Telemetry
 from repro.telemetry.metrics import MetricsRegistry
+from repro.telemetry.session import Telemetry
 
 #: A 6-s urban drive that drops two vehicle frames: every series of its
 #: metrics snapshot but the wall-clock-only ``frame_deadline_misses_total``,

@@ -133,9 +133,9 @@ class TestRunDriveSpec:
     def test_observation_does_not_perturb_frames(self):
         # The fleet's non-perturbation pin: telemetry + monitor attached,
         # frame cores stay byte-identical to the bare drive.
-        from repro.monitor import Monitor, MonitorConfig
+        from repro.monitor.session import Monitor, MonitorConfig
         from repro.monitor.slo import SloBudgets
-        from repro.telemetry import Telemetry
+        from repro.telemetry.session import Telemetry
 
         spec = DriveSpec(duration_s=2.0, seed=9, fault_scenario="flaky_dma")
         bare = run_drive_spec(spec)

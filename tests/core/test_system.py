@@ -9,7 +9,7 @@ from repro.adaptive.sensor import LightSensor, LuxTrace, sunset_trace, tunnel_tr
 from repro.core.system import AdaptiveDetectionSystem, SystemConfig
 from repro.datasets.lighting import LightingCondition
 from repro.errors import ConfigurationError
-from repro.telemetry import Telemetry
+from repro.telemetry.session import Telemetry
 
 
 class TestConfig:

@@ -34,7 +34,7 @@ from repro.core.system import AdaptiveDetectionSystem
 from repro.monitor.session import Monitor, MonitorConfig
 from repro.monitor.slo import SloBudgets
 from repro.quality.observer import ModelQualityObserver
-from repro.telemetry import Telemetry
+from repro.telemetry.session import Telemetry
 
 pytestmark = pytest.mark.equivalence
 

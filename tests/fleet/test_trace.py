@@ -23,7 +23,7 @@ from repro.fleet.trace import (
     stitch_fleet_trace,
     worker_pid,
 )
-from repro.telemetry import load_dump
+from repro.telemetry.exporters import load_dump
 
 pytestmark = pytest.mark.fleet
 

@@ -18,7 +18,8 @@ from repro.fleet.worker import TASK_POLL_TIMEOUT_S, execute_spec, worker_main
 from repro.monitor.session import Monitor, MonitorConfig
 from repro.monitor.slo import SloBudgets
 from repro.quality.observer import ModelQualityObserver
-from repro.telemetry import Telemetry, load_dump
+from repro.telemetry.exporters import load_dump
+from repro.telemetry.session import Telemetry
 
 pytestmark = pytest.mark.fleet
 

@@ -7,15 +7,14 @@ import json
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.monitor import (
+from repro.monitor.bundle import (
     BUNDLE_SCHEMA_VERSION,
-    FrameSnapshot,
-    TriggerEvent,
     is_bundle,
     list_bundles,
     load_bundle,
     write_bundle,
 )
+from repro.monitor.recorder import FrameSnapshot, TriggerEvent
 
 pytestmark = pytest.mark.monitor
 

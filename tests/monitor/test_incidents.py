@@ -12,9 +12,10 @@ from repro.adaptive.sensor import LightSensor, sunset_trace
 from repro.core.system import AdaptiveDetectionSystem, SystemConfig
 from repro.faults.plan import FaultPlan, FaultSite, FaultSpec
 from repro.faults.scenarios import SCENARIOS, get_scenario
-from repro.monitor import Monitor, MonitorConfig, list_bundles, load_bundle, write_bundle
 from repro.monitor.analyzer import render_report, root_cause_hints
+from repro.monitor.bundle import list_bundles, load_bundle, write_bundle
 from repro.monitor.replay import rebuild_drive, replay_bundle
+from repro.monitor.session import Monitor, MonitorConfig
 from repro.zynq.pr import ALL_CONTROLLERS
 
 pytestmark = pytest.mark.monitor

@@ -17,7 +17,7 @@ import pytest
 
 from repro.core.spec import DriveSpec
 from repro.fleet.worker import execute_spec
-from repro.monitor import Monitor
+from repro.monitor.session import Monitor
 
 pytestmark = pytest.mark.monitor
 

@@ -9,7 +9,7 @@ import pytest
 from repro.adaptive.sensor import LightSensor, sunset_trace
 from repro.core.system import AdaptiveDetectionSystem, DriveReport
 from repro.faults.scenarios import get_scenario
-from repro.monitor import Monitor
+from repro.monitor.session import Monitor
 
 pytestmark = pytest.mark.monitor
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.monitor import FlightRecorder, FrameSnapshot, TriggerEvent
+from repro.monitor.recorder import FlightRecorder, FrameSnapshot, TriggerEvent
 
 pytestmark = pytest.mark.monitor
 

@@ -8,14 +8,9 @@ from repro.adaptive.sensor import LightSensor, sunset_trace
 from repro.core.system import AdaptiveDetectionSystem
 from repro.errors import MonitoringError
 from repro.faults.scenarios import get_scenario
-from repro.monitor import (
-    MONITOR_EVENT_KINDS,
-    NULL_MONITOR,
-    Monitor,
-    MonitorConfig,
-    NullMonitor,
-)
-from repro.telemetry import Telemetry
+from repro.monitor.events import MONITOR_EVENT_KINDS
+from repro.monitor.session import NULL_MONITOR, Monitor, MonitorConfig, NullMonitor
+from repro.telemetry.session import Telemetry
 
 pytestmark = pytest.mark.monitor
 

@@ -7,7 +7,7 @@ from dataclasses import asdict
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.monitor import (
+from repro.monitor.slo import (
     PAPER_FRAME_BUDGET_MS,
     PAPER_ICAP_MBS,
     PAPER_RECONFIG_MS,

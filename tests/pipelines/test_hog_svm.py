@@ -13,7 +13,7 @@ from repro.ml.linear import LinearModel
 from repro.pipelines.day_dusk import DayDuskConfig, HogSvmVehicleDetector
 from repro.pipelines.hog_svm import VEHICLE_LEVELS, HogSvmConfig, HogSvmDetector
 from repro.pipelines.pedestrian import PedestrianDetector
-from repro.telemetry import Telemetry
+from repro.telemetry.session import Telemetry
 
 
 @pytest.fixture(scope="module")

@@ -24,7 +24,7 @@ from repro.fleet.scheduler import FleetConfig, run_fleet
 from repro.fleet.specs import sweep_specs
 from repro.fleet.status import StatusBoard, render_status, status_metrics_snapshot
 from repro.quality.observer import ModelQualityObserver
-from repro.telemetry import Telemetry
+from repro.telemetry.session import Telemetry
 
 pytestmark = [pytest.mark.quality, pytest.mark.fleet]
 

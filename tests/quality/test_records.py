@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.pipelines.evaluation import ConfusionCounts
+from repro.confusion import ConfusionCounts
 from repro.quality.records import (
     QUALITY_SUMMARY_SCHEMA,
     QualityRecord,

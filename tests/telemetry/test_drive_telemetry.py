@@ -8,7 +8,8 @@ from repro.adaptive.sensor import sunset_trace, urban_evening_trace
 from repro.core.system import AdaptiveDetectionSystem
 from repro.experiments.reconfig import PAPER_THROUGHPUT_MB_S, run_latency, run_throughput
 from repro.faults.plan import FaultPlan, FaultSite, FaultSpec
-from repro.telemetry import Telemetry, snapshot_values
+from repro.telemetry.metrics import snapshot_values
+from repro.telemetry.session import Telemetry
 from repro.zynq.soc import ZynqSoC
 
 pytestmark = pytest.mark.telemetry

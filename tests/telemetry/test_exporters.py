@@ -7,13 +7,8 @@ import json
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.telemetry import (
-    Telemetry,
-    export,
-    load_dump,
-    render_report,
-    summarize_file,
-)
+from repro.telemetry.exporters import export, load_dump, render_report, summarize_file
+from repro.telemetry.session import Telemetry
 
 pytestmark = pytest.mark.telemetry
 

@@ -5,8 +5,10 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.monitor import FrameSnapshot, TriggerEvent, write_bundle
-from repro.telemetry import Span, filter_spans, load_dump, render_report
+from repro.monitor.bundle import write_bundle
+from repro.monitor.recorder import FrameSnapshot, TriggerEvent
+from repro.telemetry.exporters import filter_spans, load_dump, render_report
+from repro.telemetry.spans import Span
 
 pytestmark = pytest.mark.telemetry
 

@@ -6,8 +6,8 @@ import pytest
 
 from repro.adaptive.sensor import sunset_trace
 from repro.core.system import AdaptiveDetectionSystem
-from repro.telemetry import Telemetry
 from repro.telemetry.profile import profile_tracer
+from repro.telemetry.session import Telemetry
 
 pytestmark = pytest.mark.telemetry
 

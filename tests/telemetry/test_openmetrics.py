@@ -5,13 +5,14 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.telemetry import Telemetry, export
+from repro.telemetry.exporters import export
 from repro.telemetry.openmetrics import (
     metric_name,
     parse_openmetrics,
     render_openmetrics,
     write_exposition,
 )
+from repro.telemetry.session import Telemetry
 
 pytestmark = pytest.mark.telemetry
 

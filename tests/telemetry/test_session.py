@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.telemetry import NULL_TELEMETRY, Telemetry
+from repro.telemetry.session import NULL_TELEMETRY, Telemetry
 from repro.telemetry.spans import NULL_SPAN
 
 pytestmark = pytest.mark.telemetry

@@ -140,7 +140,7 @@ class TestCliTelemetry:
         assert "drive_frames_total" in out
         assert "frame_wall_ms_bucket" in out
         # It parses back with the module's own inverse.
-        from repro.telemetry import parse_openmetrics
+        from repro.telemetry.openmetrics import parse_openmetrics
 
         assert parse_openmetrics(out)
 
@@ -148,13 +148,15 @@ class TestCliTelemetry:
 class TestExtensibility:
     def test_animal_configuration_fits_paper_partition(self):
         """The paper's motivating extra ADS feature drops into the same RP."""
-        from repro.hw import animal_design, dark_design, day_dusk_design, plan_vehicle_partition
+        from repro.hw.designs import animal_design, dark_design, day_dusk_design
+        from repro.hw.floorplan import plan_vehicle_partition
 
         partition = plan_vehicle_partition([day_dusk_design().total, dark_design().total])
         assert partition.fits(animal_design().total)
 
     def test_soc_hosts_third_bitstream(self):
-        from repro.zynq import BitstreamRepository, PartialBitstream, ZynqSoC
+        from repro.zynq.bitstream import BitstreamRepository, PartialBitstream
+        from repro.zynq.soc import ZynqSoC
 
         repo = BitstreamRepository()
         repo.add(PartialBitstream(name="day_dusk", payload_seed=1))
